@@ -12,7 +12,6 @@ from .emd import (
     find_extrema,
     local_mean_operator,
     mean_envelope,
-    mode_operator,
 )
 from .ensemble import EnsembleConfig, NoiseBank, generate_noise_bank, iceemd
 from .entropy import (
@@ -34,7 +33,6 @@ from .pipeline import (
     DenoiseResult,
     PipelineConfig,
     iceemd_de,
-    reconstruct,
 )
 from .signals import (
     Spectrum,
@@ -98,8 +96,6 @@ __all__ = [
     "idwt",
     "local_mean_operator",
     "mean_envelope",
-    "mode_operator",
-    "reconstruct",
     "rmse",
     "snr",
     "soft_threshold",

@@ -18,6 +18,7 @@ from .ensemble import EnsembleConfig, iceemd
 from .entropy import ApEnConfig, apen_per_imf
 from .errors import IceemdError, InvalidConfigError, SignalFormatError
 from .io import (
+    FORMAT_VERSION,
     read_decomposition_csv,
     read_signal_csv,
     write_decomposition_csv,
@@ -39,7 +40,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _versions() -> dict:
-    return {"tool": __version__, "formats": {"signal_csv": "1", "decomposition_csv": "1", "report_json": "1"}}
+    formats = ("signal_csv", "decomposition_csv", "report_json")
+    return {"tool": __version__, "formats": dict.fromkeys(formats, FORMAT_VERSION)}
+
+
+def _write_run_report(path, config_echo, apen_table, metrics, artifact_paths) -> None:
+    """The JSON report of one decompose, apen or denoise run."""
+    write_report(
+        {
+            "config_echo": config_echo,
+            "apen_table": apen_table,
+            "metrics": metrics,
+            "artifact_paths": artifact_paths,
+            "versions": _versions(),
+        },
+        path,
+    )
 
 
 def _apen_table(report) -> dict:
@@ -116,21 +132,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _decompose_config(args) -> EnsembleConfig:
-    return EnsembleConfig(
-        ensemble_size=args.ensemble_size,
-        epsilon0=args.epsilon0,
-        seed=args.seed if args.seed is not None else 0,
-        max_modes=args.max_modes,
-    )
-
-
 def _cmd_decompose(args) -> int:
     signal = read_signal_csv(args.input)
     if args.method == "iceemd":
         if args.seed is None:
             raise UsageError("--method iceemd requires --seed (no silent entropy)")
-        cfg = _decompose_config(args)
+        cfg = EnsembleConfig(
+            ensemble_size=args.ensemble_size,
+            epsilon0=args.epsilon0,
+            seed=args.seed,
+            max_modes=args.max_modes,
+        )
         dec = iceemd(signal, cfg)
         config_echo = {"method": "iceemd", "ensemble": asdict(cfg)}
     else:
@@ -141,16 +153,7 @@ def _cmd_decompose(args) -> int:
     config_echo["sample_rate_hz"] = signal.sample_rate_hz
     write_decomposition_csv(dec, args.output, signal.sample_rate_hz, __version__)
     if args.report:
-        write_report(
-            {
-                "config_echo": config_echo,
-                "apen_table": None,
-                "metrics": None,
-                "artifact_paths": [args.output],
-                "versions": _versions(),
-            },
-            args.report,
-        )
+        _write_run_report(args.report, config_echo, None, None, [args.output])
     return 0
 
 
@@ -161,20 +164,8 @@ def _cmd_apen(args) -> int:
     # size, so iceemd_de's residual-noise floor cannot be applied here: the
     # tolerance stays tolerance_factor * std(imf) for every mode
     report = apen_per_imf(dec, cfg, threshold=args.threshold)
-    write_report(
-        {
-            "config_echo": {
-                "input": args.input,
-                "apen": asdict(cfg),
-                "threshold": args.threshold,
-            },
-            "apen_table": _apen_table(report),
-            "metrics": None,
-            "artifact_paths": [],
-            "versions": _versions(),
-        },
-        args.output,
-    )
+    config_echo = {"input": args.input, "apen": asdict(cfg), "threshold": args.threshold}
+    _write_run_report(args.output, config_echo, _apen_table(report), None, [])
     return 0
 
 
@@ -202,23 +193,17 @@ def _cmd_denoise(args) -> int:
             "rmse": rmse(reference, result.output),
         }
     if args.report:
-        write_report(
-            {
-                "config_echo": {
-                    "input": args.input,
-                    "reference": args.reference,
-                    "ensemble": asdict(cfg.ensemble),
-                    "apen": asdict(cfg.apen),
-                    "apen_threshold": cfg.apen_threshold,
-                    "denoise": asdict(cfg.denoise),
-                    "sample_rate_hz": signal.sample_rate_hz,
-                },
-                "apen_table": _apen_table(result.apen_report),
-                "metrics": metrics,
-                "artifact_paths": [args.output],
-                "versions": _versions(),
-            },
-            args.report,
+        config_echo = {
+            "input": args.input,
+            "reference": args.reference,
+            "ensemble": asdict(cfg.ensemble),
+            "apen": asdict(cfg.apen),
+            "apen_threshold": cfg.apen_threshold,
+            "denoise": asdict(cfg.denoise),
+            "sample_rate_hz": signal.sample_rate_hz,
+        }
+        _write_run_report(
+            args.report, config_echo, _apen_table(result.apen_report), metrics, [args.output]
         )
     return 0
 

@@ -1,9 +1,8 @@
 """Plain empirical mode decomposition.
 
 Extrema detection, cubic-spline envelopes with the boundary conditions of
-Rilling, Flandrin & Goncalves (2003), sifting, and the two operators the
-ensemble recursion is built from: the first-mode extractor E_k and the
-local-mean operator M (with M(x) = x - E_1(x)).
+Rilling, Flandrin & Goncalves (2003), sifting, and the local-mean operator
+M the ensemble recursion is built from (M(x) = x minus the first IMF of x).
 """
 from __future__ import annotations
 
@@ -238,21 +237,7 @@ def emd(signal: Signal, cfg: SiftConfig = SiftConfig(), max_modes: int = 12) -> 
         except NotEnoughExtremaError:
             break
         imfs.append(imf)
-    return Decomposition(imfs=imfs, residue=residue, source_length=x.size)
-
-
-def _emd_samples(samples, cfg: SiftConfig, max_modes: int) -> Decomposition:
-    return emd(Signal(samples, sample_rate_hz=1.0), cfg, max_modes)
-
-
-def mode_operator(samples, k: int, cfg: SiftConfig = SiftConfig()) -> np.ndarray:
-    """E_k: the k-th EMD mode of `samples`, or zeros if fewer than k exist."""
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
-    dec = _emd_samples(samples, cfg, max_modes=k)
-    if dec.n_imfs >= k:
-        return dec.imfs[k - 1]
-    return np.zeros(np.asarray(samples).size)
+    return Decomposition(imfs=imfs, residue=residue)
 
 
 def local_mean_operator(samples, cfg: SiftConfig = SiftConfig()) -> np.ndarray:

@@ -21,8 +21,7 @@ class EnsembleConfig:
     """Ensemble decomposition parameters.
 
     epsilon0 scales the injected noise relative to the running residue's
-    standard deviation. With first_stage_raw_noise the first stage adds the
-    white noise itself instead of its (unit-std normalized) first mode.
+    standard deviation.
     """
 
     ensemble_size: int = 50
@@ -30,7 +29,6 @@ class EnsembleConfig:
     seed: int = 0
     max_modes: int = 12
     sift: SiftConfig = field(default_factory=SiftConfig)
-    first_stage_raw_noise: bool = False
 
     def __post_init__(self):
         if self.ensemble_size < 1:
@@ -45,23 +43,22 @@ class EnsembleConfig:
 
 @dataclass
 class NoiseBank:
-    """Seeded white-noise realizations and their cached EMD modes.
+    """The cached EMD modes of seeded white-noise realizations of length n.
 
     Realization i is derived from (seed, i) alone, so the same index gives
     the same sequence for any ensemble size. Each realization is
     standardized to exact zero mean and unit population std.
     """
 
-    realizations: list[np.ndarray]
     cached_modes: list[list[np.ndarray]]
-    seed: int
+    n: int
 
     def mode(self, i: int, k: int) -> np.ndarray:
         """E_k of realization i; zeros when fewer than k modes exist."""
         modes = self.cached_modes[i]
         if k <= len(modes):
             return modes[k - 1]
-        return np.zeros_like(self.realizations[i])
+        return np.zeros(self.n)
 
 
 def _realization(n: int, seed: int, index: int) -> np.ndarray:
@@ -77,12 +74,12 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> NoiseBank:
     and cache their EMD modes up to cfg.max_modes."""
     if n < 4:
         raise InvalidSignalError(f"noise bank needs n >= 4, got {n}")
-    realizations = [_realization(n, cfg.seed, i) for i in range(cfg.ensemble_size)]
     cached = [
-        emd(Signal(w, sample_rate_hz=1.0), cfg.sift, max_modes=cfg.max_modes).imfs
-        for w in realizations
+        emd(Signal(_realization(n, cfg.seed, i), sample_rate_hz=1.0), cfg.sift,
+            max_modes=cfg.max_modes).imfs
+        for i in range(cfg.ensemble_size)
     ]
-    return NoiseBank(realizations=realizations, cached_modes=cached, seed=cfg.seed)
+    return NoiseBank(cached_modes=cached, n=n)
 
 
 def _ensemble_mean_local_mean(
@@ -121,19 +118,17 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     imfs: list[np.ndarray] = []
     residue = x.copy()
     if not _decomposable(residue):
-        return Decomposition(imfs=imfs, residue=residue, source_length=x.size)
+        return Decomposition(imfs=imfs, residue=residue)
 
     bank = generate_noise_bank(x.size, cfg)
     for k in range(1, cfg.max_modes + 1):
         beta = cfg.epsilon0 * float(residue.std())
-        if k == 1 and not cfg.first_stage_raw_noise:
+        if k == 1:
             scaled = []
             for i in range(cfg.ensemble_size):
                 e1 = bank.mode(i, 1)
                 sd = float(e1.std())
                 scaled.append(beta * e1 / sd if sd > 0 else np.zeros_like(e1))
-        elif k == 1:
-            scaled = [beta * w for w in bank.realizations]
         else:
             scaled = [beta * bank.mode(i, k) for i in range(cfg.ensemble_size)]
         next_residue = _ensemble_mean_local_mean(residue, scaled, cfg)
@@ -141,4 +136,4 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
         residue = next_residue
         if not _decomposable(residue):
             break
-    return Decomposition(imfs=imfs, residue=residue, source_length=x.size)
+    return Decomposition(imfs=imfs, residue=residue)

@@ -9,7 +9,6 @@ Floats are printed with 17 significant digits so write-read is lossless.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,114 +24,116 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-@dataclass
-class SignalFileHeader:
-    """Metadata parsed from the comment lines of a signal file."""
+def _read_file(path: str) -> tuple[dict[str, tuple[int, str]], float, list[tuple[int, str]]]:
+    """Split a file into its leading `# key=value` comments and its body.
 
-    sample_rate_hz: float
-    n_samples: int | None = None
-    label: str = ""
-
-
-def _parse_header(lines: list[tuple[int, str]], path: str) -> tuple[SignalFileHeader, int]:
-    """Consume leading `# key=value` comments; return header and body start."""
-    meta: dict[str, str] = {}
+    Returns the metadata (key -> (line number, value)), the sample rate it
+    states and the nonblank body lines as (line number, line). The rate
+    comes from sample_rate_hz or sample_interval_s; each must be finite and
+    positive, and the two must agree when both are given.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(i + 1, ln) for i, ln in enumerate(fh) if ln.strip() != ""]
+    meta: dict[str, tuple[int, str]] = {}
     body_start = 0
     for lineno, line in lines:
         stripped = line.strip()
         if not stripped.startswith("#"):
             break
         body_start += 1
-        content = stripped.lstrip("#").strip()
-        if "=" in content:
-            key, _, value = content.partition("=")
-            meta[key.strip()] = value.strip()
+        key, eq, value = stripped.lstrip("#").partition("=")
+        if eq:
+            meta[key.strip()] = (lineno, value.strip())
 
-    rate = meta.get("sample_rate_hz")
-    interval = meta.get("sample_interval_s")
-    if rate is None and interval is None:
+    def positive(key: str) -> float | None:
+        if key not in meta:
+            return None
+        lineno, value = meta[key]
+        try:
+            number = float(value)
+        except ValueError:
+            number = float("nan")
+        if not (np.isfinite(number) and number > 0):
+            raise SignalFormatError(
+                f"{path}: {key} must be a positive number, got {value!r}", line=lineno
+            )
+        return number
+
+    rate_hz = positive("sample_rate_hz")
+    interval_s = positive("sample_interval_s")
+    if rate_hz is None and interval_s is None:
         raise SignalFormatError(
             f"{path}: missing sampling metadata "
             "(need a '# sample_rate_hz=...' or '# sample_interval_s=...' line)"
         )
-    try:
-        rate_hz = float(rate) if rate is not None else None
-        interval_s = float(interval) if interval is not None else None
-    except ValueError as exc:
-        raise SignalFormatError(f"{path}: bad sampling metadata: {exc}") from None
-    if rate_hz is not None and (not np.isfinite(rate_hz) or rate_hz <= 0):
-        raise SignalFormatError(f"{path}: sample_rate_hz must be positive")
-    if interval_s is not None and (not np.isfinite(interval_s) or interval_s <= 0):
-        raise SignalFormatError(f"{path}: sample_interval_s must be positive")
-    if rate_hz is not None and interval_s is not None:
-        if abs(1.0 / rate_hz - interval_s) > _RATE_TOLERANCE * interval_s:
-            raise SignalFormatError(
-                f"{path}: sample_rate_hz={rate_hz} and sample_interval_s="
-                f"{interval_s} contradict each other; state one of them"
-            )
     if rate_hz is None:
         rate_hz = 1.0 / interval_s
+    elif interval_s is not None and abs(1.0 / rate_hz - interval_s) > _RATE_TOLERANCE * interval_s:
+        raise SignalFormatError(
+            f"{path}: sample_rate_hz={rate_hz} and sample_interval_s="
+            f"{interval_s} contradict each other; state one of them",
+            line=meta["sample_interval_s"][0],
+        )
+    return meta, rate_hz, lines[body_start:]
 
-    n_samples = None
-    if "n_samples" in meta:
+
+def _read_rows(path: str, rows: list[tuple[int, str]], n_columns: int) -> np.ndarray:
+    """Rows of n_columns comma-separated finite numbers, as an (rows, n_columns) array."""
+    values: list[float] = []
+    for lineno, line in rows:
+        fields = line.split(",")
+        if len(fields) != n_columns:
+            raise SignalFormatError(
+                f"{path}: expected {n_columns} columns, got {len(fields)}", line=lineno
+            )
         try:
-            n_samples = int(meta["n_samples"])
+            values.extend([float(f) for f in fields])
         except ValueError:
-            raise SignalFormatError(f"{path}: n_samples must be an integer") from None
-    return SignalFileHeader(rate_hz, n_samples, meta.get("label", "")), body_start
+            raise SignalFormatError(
+                f"{path}: non-numeric value {line.strip()!r}", line=lineno
+            ) from None
+    if not rows:
+        raise SignalFormatError(f"{path}: no data rows")
+    data = np.array(values).reshape(len(rows), n_columns)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise SignalFormatError(
+            f"{path}: non-finite value", line=rows[int(np.argmin(finite))][0]
+        )
+    return data
 
 
 def read_signal_csv(path) -> Signal:
     """Parse a signal file; see the module docstring for the format."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i + 1, ln) for i, ln in enumerate(fh) if ln.strip() != ""]
-    header, body_start = _parse_header(lines, path)
+    meta, rate_hz, body = _read_file(path)
+    n_columns = body[0][1].count(",") + 1 if body else 1
+    if n_columns not in (1, 2):
+        raise SignalFormatError(
+            f"{path}: expected 1 or 2 columns, got {n_columns}", line=body[0][0]
+        )
+    data = _read_rows(path, body, n_columns)
+    amplitudes = data[:, -1].copy()
 
-    amplitudes: list[float] = []
-    times: list[float] = []
-    n_columns = None
-    for lineno, line in lines[body_start:]:
-        fields = [f.strip() for f in line.strip().split(",")]
-        if n_columns is None:
-            if len(fields) not in (1, 2):
-                raise SignalFormatError(
-                    f"{path}: expected 1 or 2 columns, got {len(fields)}", line=lineno
-                )
-            n_columns = len(fields)
-        elif len(fields) != n_columns:
+    if "n_samples" in meta:
+        lineno, value = meta["n_samples"]
+        try:
+            n_samples = int(value)
+        except ValueError:
+            raise SignalFormatError(f"{path}: n_samples must be an integer", line=lineno) from None
+        if n_samples != amplitudes.size:
             raise SignalFormatError(
-                f"{path}: inconsistent column count ({len(fields)} vs {n_columns})",
+                f"{path}: header says n_samples={n_samples}, file has {amplitudes.size}",
                 line=lineno,
             )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise SignalFormatError(
-                f"{path}: non-numeric value {line.strip()!r}", line=lineno
-            ) from None
-        if not all(np.isfinite(values)):
-            raise SignalFormatError(f"{path}: non-finite sample", line=lineno)
-        if n_columns == 2:
-            times.append(values[0])
-            amplitudes.append(values[1])
-        else:
-            amplitudes.append(values[0])
-
-    if not amplitudes:
-        raise SignalFormatError(f"{path}: no data rows")
-    if header.n_samples is not None and header.n_samples != len(amplitudes):
-        raise SignalFormatError(
-            f"{path}: header says n_samples={header.n_samples}, file has {len(amplitudes)}"
-        )
-    if times:
-        dt = np.diff(times)
-        interval = 1.0 / header.sample_rate_hz
+    if n_columns == 2:
+        dt = np.diff(data[:, 0])
+        interval = 1.0 / rate_hz
         if np.any(np.abs(dt - interval) > _RATE_TOLERANCE * interval):
             raise SignalFormatError(
                 f"{path}: time column is not uniform at the stated interval {interval}"
             )
-    return Signal(np.array(amplitudes), header.sample_rate_hz)
+    return Signal(amplitudes, rate_hz)
 
 
 def write_signal_csv(signal: Signal, path, label: str = "") -> None:
@@ -166,51 +167,20 @@ def write_decomposition_csv(
 def read_decomposition_csv(path) -> tuple[Decomposition, float]:
     """Read a decomposition file back; returns (decomposition, sample_rate_hz)."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i + 1, ln) for i, ln in enumerate(fh) if ln.strip() != ""]
-    meta: dict[str, str] = {}
-    body = 0
-    for lineno, line in lines:
-        stripped = line.strip()
-        if not stripped.startswith("#"):
-            break
-        body += 1
-        content = stripped.lstrip("#").strip()
-        if "=" in content:
-            key, _, value = content.partition("=")
-            meta[key.strip()] = value.strip()
-    try:
-        rate = float(meta["sample_rate_hz"])
-    except (KeyError, ValueError):
-        raise SignalFormatError(f"{path}: missing or bad '# sample_rate_hz='") from None
-    if body >= len(lines):
+    _, rate, body = _read_file(path)
+    if not body:
         raise SignalFormatError(f"{path}: missing column header row")
-    header_lineno, header_line = lines[body]
+    header_lineno, header_line = body[0]
     names = [c.strip() for c in header_line.strip().split(",")]
     expected = ["t"] + [f"imf{i}" for i in range(1, len(names) - 1)] + ["residue"]
     if names != expected:
         raise SignalFormatError(
             f"{path}: expected columns {expected}, got {names}", line=header_lineno
         )
-    rows = []
-    for lineno, line in lines[body + 1:]:
-        fields = line.strip().split(",")
-        if len(fields) != len(names):
-            raise SignalFormatError(
-                f"{path}: expected {len(names)} columns, got {len(fields)}", line=lineno
-            )
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise SignalFormatError(
-                f"{path}: non-numeric value {line.strip()!r}", line=lineno
-            ) from None
-    if not rows:
-        raise SignalFormatError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = _read_rows(path, body[1:], len(names))
     imfs = [data[:, k].copy() for k in range(1, len(names) - 1)]
     residue = data[:, -1].copy()
-    return Decomposition(imfs=imfs, residue=residue, source_length=residue.size), rate
+    return Decomposition(imfs=imfs, residue=residue), rate
 
 
 def write_report(report: dict, path) -> None:

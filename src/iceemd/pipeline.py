@@ -13,7 +13,6 @@ import numpy as np
 
 from .ensemble import EnsembleConfig, iceemd
 from .entropy import ApEnConfig, ApEnReport, apen_per_imf
-from .errors import InvalidSignalError
 from .types import Decomposition, Signal
 from .wavelet import DenoiseConfig, wavelet_denoise
 
@@ -60,20 +59,6 @@ class DenoiseResult:
         ]
 
 
-def reconstruct(imfs: list[np.ndarray], residue: np.ndarray) -> np.ndarray:
-    """Elementwise sum of the modes and the residue."""
-    residue = np.asarray(residue, dtype=np.float64)
-    total = residue.copy()
-    for k, imf in enumerate(imfs):
-        imf = np.asarray(imf, dtype=np.float64)
-        if imf.size != residue.size:
-            raise InvalidSignalError(
-                f"imf {k} has length {imf.size}, residue has {residue.size}"
-            )
-        total += imf
-    return total
-
-
 def _feasible_levels(n: int, requested: int) -> int:
     """Largest level count <= requested that n samples can support."""
     levels = requested
@@ -118,7 +103,7 @@ def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> Denoise
         after = wavelet_denoise(before, dcfg)
         processed[k] = after
         denoised.append((k, before, after))
-    output = reconstruct(processed, dec.residue)
+    output = Decomposition(processed, dec.residue).reconstruct()
     return DenoiseResult(
         decomposition_raw=dec,
         apen_report=report,

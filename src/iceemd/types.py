@@ -61,12 +61,21 @@ class Decomposition:
     """Ordered intrinsic mode functions plus the final residue.
 
     The elementwise sum of ``imfs`` and ``residue`` reconstructs the
-    decomposed signal (telescoping identity of the extraction loop).
+    decomposed signal (telescoping identity of the extraction loop). Every
+    IMF must be as long as the residue.
     """
 
     imfs: list[np.ndarray]
     residue: np.ndarray
-    source_length: int
+
+    def __post_init__(self):
+        self.residue = np.asarray(self.residue, dtype=np.float64)
+        self.imfs = [np.asarray(imf, dtype=np.float64) for imf in self.imfs]
+        for k, imf in enumerate(self.imfs):
+            if imf.size != self.residue.size:
+                raise InvalidSignalError(
+                    f"imf {k} has length {imf.size}, residue has {self.residue.size}"
+                )
 
     @property
     def n_imfs(self) -> int:

@@ -8,7 +8,7 @@ band by the universal threshold and leaves the approximation alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,15 +234,12 @@ class DenoiseConfig:
     denoised (right when that series is noise-dominated, as a flagged
     mode is); "mad_finest" rescales the median absolute value of the
     finest detail band (the robust choice for a structured whole signal).
-    threshold_levels limits shrinkage to the given 1-based detail levels
-    (1 = finest); None thresholds every level.
     """
 
     wavelet: str = "db4"
     levels: int = 4
     sigma_estimator: str = "signal_std"
     extension_mode: str = "symmetric"
-    threshold_levels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.wavelet not in _SCALING_FILTERS:
@@ -400,17 +397,5 @@ def wavelet_denoise(signal, cfg: DenoiseConfig = DenoiseConfig()) -> np.ndarray:
     coeffs = dwt(x, cfg)
     sigma = _estimate_sigma(x, coeffs, cfg.sigma_estimator)
     lam = universal_threshold(sigma, x.size)
-    keep = cfg.threshold_levels
-    shrunk = [
-        soft_threshold(d, lam) if keep is None or (j + 1) in keep else d
-        for j, d in enumerate(coeffs.details)
-    ]
-    out = WaveletCoefficients(
-        approximation=coeffs.approximation,
-        details=shrunk,
-        level_count=coeffs.level_count,
-        original_length=coeffs.original_length,
-        extension_mode=coeffs.extension_mode,
-        wavelet=coeffs.wavelet,
-    )
-    return idwt(out, cfg)
+    shrunk = [soft_threshold(d, lam) for d in coeffs.details]
+    return idwt(replace(coeffs, details=shrunk))

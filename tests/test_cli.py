@@ -134,6 +134,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: format:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("header, row", [
+        ("# sample_rate_hz=nan", "0.001,-1,2"),
+        ("# sample_rate_hz=1000", "0.001,nan,2"),
+    ])
+    def test_bad_decomposition_exit_2_with_line(self, tmp_path, capsys, header, row):
+        bad = tmp_path / "dec.csv"
+        bad.write_text(f"{header}\nt,imf1,residue\n0,1,2\n{row}\n0.002,1,2\n")
+        assert run(["apen", bad, "-o", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:") and err.count("\n") == 1
+        assert "line " in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["metrics", tmp_path / "no.csv", tmp_path / "no.csv"]) == 2
 

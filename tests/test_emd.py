@@ -12,7 +12,6 @@ from iceemd import (
     find_extrema,
     local_mean_operator,
     mean_envelope,
-    mode_operator,
 )
 from iceemd.ensemble import generate_noise_bank
 from iceemd.signals import dominant_frequency
@@ -192,20 +191,14 @@ class TestEmd:
 class TestOperators:
     def test_first_mode_of_sine_is_sine(self):
         y = sine(100)
-        e1 = mode_operator(y, 1)
+        e1, _ = extract_imf(y)
         margin = slice(50, 950)
         assert np.abs((e1 - y)[margin]).max() < 0.1
-
-    def test_missing_mode_is_zero(self):
-        y = sine(20, n=256)
-        dec = emd(Signal(y, FS))
-        e_far = mode_operator(y, dec.n_imfs + 2)
-        assert np.array_equal(e_far, np.zeros(256))
 
     def test_first_mode_plus_local_mean_is_identity(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal(512)
-        e1 = mode_operator(y, 1)
+        e1, _ = extract_imf(y)
         m = local_mean_operator(y)
         assert np.abs(e1 + m - y).max() <= 1e-10 * np.abs(y).max()
 

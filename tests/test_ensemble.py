@@ -7,9 +7,11 @@ from iceemd import (
     SiftConfig,
     Signal,
     emd,
+    extract_imf,
     generate_noise_bank,
     iceemd,
 )
+from iceemd.ensemble import _realization
 from iceemd.signals import dominant_frequency, synth_signal
 
 FS = 1000.0
@@ -25,8 +27,8 @@ class TestNoiseBank:
         cfg = EnsembleConfig(ensemble_size=2, seed=7)
         a = generate_noise_bank(1024, cfg)
         b = generate_noise_bank(1024, cfg)
-        for wa, wb in zip(a.realizations, b.realizations):
-            assert np.array_equal(wa, wb)
+        for i in range(cfg.ensemble_size):
+            assert np.array_equal(_realization(1024, 7, i), _realization(1024, 7, i))
         for ma, mb in zip(a.cached_modes, b.cached_modes):
             assert len(ma) == len(mb)
             for ia, ib in zip(ma, mb):
@@ -35,19 +37,35 @@ class TestNoiseBank:
     def test_realization_depends_only_on_seed_and_index(self):
         big = generate_noise_bank(1024, EnsembleConfig(ensemble_size=16, seed=7))
         small = generate_noise_bank(1024, EnsembleConfig(ensemble_size=14, seed=7))
-        assert np.array_equal(big.realizations[13], small.realizations[13])
+        assert len(big.cached_modes[13]) == len(small.cached_modes[13])
+        for mb, ms in zip(big.cached_modes[13], small.cached_modes[13]):
+            assert np.array_equal(mb, ms)
 
     def test_standardization(self):
-        bank = generate_noise_bank(1024, EnsembleConfig(ensemble_size=8, seed=3))
         n = 1024
-        for w in bank.realizations:
+        for i in range(8):
+            w = _realization(n, 3, i)
             assert abs(w.mean()) <= 3 / np.sqrt(n)
             assert 0.9 <= w.std() <= 1.1
+
+    def test_modes_rebuild_realization(self):
+        # the cached modes are the EMD of the standardized realization
+        bank = generate_noise_bank(256, EnsembleConfig(ensemble_size=3, seed=5, max_modes=1))
+        for i, modes in enumerate(bank.cached_modes):
+            imf, _ = extract_imf(_realization(256, 5, i))
+            assert np.array_equal(modes[0], imf)
 
     def test_mode_fallback_is_zero(self):
         bank = generate_noise_bank(256, EnsembleConfig(ensemble_size=1, seed=0))
         k = len(bank.cached_modes[0]) + 3
         assert np.array_equal(bank.mode(0, k), np.zeros(256))
+
+    def test_mode_of_realization_without_modes_is_zero(self):
+        # four samples never hold the three extrema a mode needs
+        bank = generate_noise_bank(4, EnsembleConfig(ensemble_size=3, seed=0))
+        assert bank.cached_modes == [[], [], []]
+        for i in range(3):
+            assert np.array_equal(bank.mode(i, 1), np.zeros(4))
 
     def test_too_short(self):
         with pytest.raises(InvalidSignalError):
@@ -119,12 +137,6 @@ class TestIceemd:
         assert burst_idx, f"no burst mode found in {doms}"
         assert tone_idx, f"no 20 Hz mode found in {doms}"
         assert burst_idx[0] < tone_idx[0]
-
-    def test_raw_noise_variant_still_reconstructs(self):
-        sig = Signal(two_tone(n=512), FS)
-        cfg = EnsembleConfig(ensemble_size=4, seed=2, first_stage_raw_noise=True)
-        dec = iceemd(sig, cfg)
-        assert np.abs(dec.reconstruct() - sig.samples).max() <= 1e-10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -132,7 +132,7 @@ class TestApproximateEntropy:
 class TestApenPerImf:
     def _dec(self, imfs):
         n = imfs[0].size
-        return Decomposition(imfs=list(imfs), residue=np.zeros(n), source_length=n)
+        return Decomposition(imfs=list(imfs), residue=np.zeros(n))
 
     def test_constant_imf_never_flagged(self):
         rng = np.random.default_rng(0)

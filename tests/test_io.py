@@ -109,7 +109,7 @@ class TestDecompositionCsv:
         assert np.array_equal(back.residue, dec.residue)
 
     def test_empty_imf_columns(self, tmp_path):
-        dec = Decomposition(imfs=[], residue=np.linspace(0, 1, 16), source_length=16)
+        dec = Decomposition(imfs=[], residue=np.linspace(0, 1, 16))
         path = tmp_path / "dec.csv"
         write_decomposition_csv(dec, path, 500.0, "0.1.0")
         header = [
@@ -124,7 +124,7 @@ class TestDecompositionCsv:
     def test_many_mode_column_count(self, tmp_path):
         rng = np.random.default_rng(3)
         imfs = [rng.standard_normal(32) for _ in range(6)]
-        dec = Decomposition(imfs=imfs, residue=rng.standard_normal(32), source_length=32)
+        dec = Decomposition(imfs=imfs, residue=rng.standard_normal(32))
         path = tmp_path / "dec.csv"
         write_decomposition_csv(dec, path, 10498.0, "0.1.0")
         header = [
@@ -135,6 +135,47 @@ class TestDecompositionCsv:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "dec.csv"
         path.write_text("# sample_rate_hz=1000\nfoo,bar\n0,1\n")
+        with pytest.raises(SignalFormatError):
+            read_decomposition_csv(path)
+
+
+BAD_RATES = ["0", "-5", "nan", "inf"]
+DEC_BODY = "t,imf1,residue\n0,1,2\n0.001,-1,2\n0.002,1,2\n"
+
+
+class TestHeaderAndRows:
+    """Both readers share one header parser and one row parser."""
+
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    @pytest.mark.parametrize("reader, body", [
+        (read_decomposition_csv, DEC_BODY),
+        (read_signal_csv, "0\n1\n0\n"),
+    ])
+    def test_bad_rate_rejected_with_line(self, tmp_path, reader, body, rate):
+        path = tmp_path / "file.csv"
+        path.write_text(f"# label=x\n# sample_rate_hz={rate}\n" + body)
+        with pytest.raises(SignalFormatError) as err:
+            reader(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_decomposition_non_finite_row_rejected(self, tmp_path, value):
+        path = tmp_path / "dec.csv"
+        body = DEC_BODY.replace("0.001,-1,2", f"0.001,{value},2")
+        path.write_text("# sample_rate_hz=1000\n" + body)
+        with pytest.raises(SignalFormatError) as err:
+            read_decomposition_csv(path)
+        assert err.value.line == 4
+
+    def test_decomposition_interval_header(self, tmp_path):
+        path = tmp_path / "dec.csv"
+        path.write_text("# sample_interval_s=0.001\n" + DEC_BODY)
+        _, rate = read_decomposition_csv(path)
+        assert rate == pytest.approx(1000.0)
+
+    def test_decomposition_no_rows(self, tmp_path):
+        path = tmp_path / "dec.csv"
+        path.write_text("# sample_rate_hz=1000\nt,residue\n")
         with pytest.raises(SignalFormatError):
             read_decomposition_csv(path)
 

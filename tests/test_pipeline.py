@@ -3,6 +3,7 @@ import pytest
 
 from iceemd import (
     DEFAULT_APEN_THRESHOLD,
+    Decomposition,
     EnsembleConfig,
     InvalidSignalError,
     PipelineConfig,
@@ -10,7 +11,6 @@ from iceemd import (
     add_noise_snr,
     dominant_frequency,
     iceemd_de,
-    reconstruct,
     synth_signal,
 )
 
@@ -24,15 +24,15 @@ def fast_config(seed=0, **kwargs):
 class TestReconstruct:
     def test_empty_sum_is_residue(self):
         r = np.arange(8.0)
-        assert np.array_equal(reconstruct([], r), r)
+        assert np.array_equal(Decomposition([], r).reconstruct(), r)
 
     def test_single_mode_plus_zeros(self):
         x = np.random.default_rng(0).standard_normal(32)
-        assert np.array_equal(reconstruct([x], np.zeros(32)), x)
+        assert np.array_equal(Decomposition([x], np.zeros(32)).reconstruct(), x)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidSignalError):
-            reconstruct([np.zeros(8)], np.zeros(9))
+            Decomposition([np.zeros(8)], np.zeros(9))
 
 
 class TestGate:
@@ -50,7 +50,9 @@ class TestGate:
         result = iceemd_de(noisy, fast_config(apen_threshold=-1.0))
         k = result.decomposition_raw.n_imfs
         assert result.denoised_indices == list(range(k))
-        rebuilt = reconstruct(result.processed_imfs(), result.decomposition_raw.residue)
+        rebuilt = Decomposition(
+            result.processed_imfs(), result.decomposition_raw.residue
+        ).reconstruct()
         assert np.array_equal(result.output.samples, rebuilt)
 
     def test_flagged_indices_consistent(self):
@@ -121,7 +123,9 @@ class TestOutput:
     def test_output_is_processed_sum(self):
         noisy = add_noise_snr(synth_signal(), 5.0, seed=3)
         result = iceemd_de(noisy, fast_config(seed=4))
-        rebuilt = reconstruct(result.processed_imfs(), result.decomposition_raw.residue)
+        rebuilt = Decomposition(
+            result.processed_imfs(), result.decomposition_raw.residue
+        ).reconstruct()
         assert np.abs(result.output.samples - rebuilt).max() <= 1e-8
 
     def test_unflagged_modes_pass_through(self):
