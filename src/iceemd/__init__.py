@@ -19,7 +19,6 @@ from .entropy import (
     ApEnReport,
     apen_per_imf,
     approximate_entropy,
-    binary_distance_matrix,
 )
 from .errors import (
     IceemdError,
@@ -84,7 +83,6 @@ __all__ = [
     "add_noise_snr",
     "apen_per_imf",
     "approximate_entropy",
-    "binary_distance_matrix",
     "dominant_frequency",
     "dwt",
     "emd",

@@ -119,13 +119,6 @@ def _envelope_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray, count
     return ux, uy, lx, ly
 
 
-def _envelope(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    if x.size >= 3:
-        return CubicSpline(x, y, bc_type="natural")(np.arange(n))
-    # two knots: natural cubic degenerates to the chord
-    return np.interp(np.arange(n), x, y)
-
-
 def mean_envelope(samples, maxima, minima, cfg: SiftConfig = SiftConfig()) -> np.ndarray:
     """Half-sum of the upper and lower cubic-spline envelopes.
 
@@ -151,11 +144,11 @@ def mean_envelope(samples, maxima, minima, cfg: SiftConfig = SiftConfig()) -> np
             f"envelopes need interior maxima and minima "
             f"(got {maxima.size} maxima, {minima.size} minima)"
         )
+    # each end adds at least one knot to each envelope, so both have >= 3
     ux, uy, lx, ly = _envelope_knots(y, maxima, minima, cfg.boundary_extrema_count)
-    if ux.size < 2 or lx.size < 2:
-        raise NotEnoughExtremaError("fewer than 2 envelope knots after mirroring")
-    upper = _envelope(ux, uy, n)
-    lower = _envelope(lx, ly, n)
+    grid = np.arange(n)
+    upper = CubicSpline(ux, uy, bc_type="natural")(grid)
+    lower = CubicSpline(lx, ly, bc_type="natural")(grid)
     return (upper + lower) / 2.0
 
 
@@ -185,9 +178,10 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
     """
     x = as_float_array(samples)
     h = x.copy()
+    # the extrema of each iterate serve both its IMF check and its envelope
+    maxima, minima = find_extrema(h)
     for iteration in range(cfg.max_sift_iterations):
         try:
-            maxima, minima = find_extrema(h)
             m = mean_envelope(h, maxima, minima, cfg)
         except NotEnoughExtremaError:
             if iteration == 0:
@@ -197,21 +191,17 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
         if denom == 0.0:
             break
         h = h - m
+        maxima, minima = find_extrema(h)
         if float(np.dot(m, m)) / denom < cfg.sd_threshold:
-            n_ext = sum(len(e) for e in find_extrema(h))
-            if _is_imf_like(h, n_ext):
+            if _is_imf_like(h, maxima.size + minima.size):
                 break
     return h, x - h
 
 
-def _is_monotone(y: np.ndarray) -> bool:
-    d = np.diff(y)
-    return bool(np.all(d >= 0) or np.all(d <= 0))
-
-
 def _decomposable(y: np.ndarray) -> bool:
-    """True if the residue still carries an extractable oscillation."""
-    if y.size < 3 or _is_monotone(y):
+    """True if the residue still carries an extractable oscillation: 3 or
+    more extrema, which alternate, so its first envelope always exists."""
+    if y.size < 3:
         return False
     maxima, minima = find_extrema(y)
     return maxima.size + minima.size >= 3
@@ -220,9 +210,10 @@ def _decomposable(y: np.ndarray) -> bool:
 def emd(signal: Signal, cfg: SiftConfig = SiftConfig(), max_modes: int = 12) -> Decomposition:
     """Empirical mode decomposition of `signal`.
 
-    Extracts IMFs from successive residues until the residue is monotone,
-    has fewer than 3 extrema, or `max_modes` is reached. The IMFs plus the
-    final residue sum back to the input exactly up to float accumulation.
+    Extracts IMFs from successive residues until the residue has fewer
+    than 3 extrema (a monotone one has none) or `max_modes` is reached.
+    The IMFs plus the final residue sum back to the input exactly up to
+    float accumulation.
     """
     if max_modes < 1:
         raise ValueError(f"max_modes must be >= 1, got {max_modes}")
@@ -232,10 +223,7 @@ def emd(signal: Signal, cfg: SiftConfig = SiftConfig(), max_modes: int = 12) -> 
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < max_modes and _decomposable(residue):
-        try:
-            imf, residue = extract_imf(residue, cfg)
-        except NotEnoughExtremaError:
-            break
+        imf, residue = extract_imf(residue, cfg)
         imfs.append(imf)
     return Decomposition(imfs=imfs, residue=residue)
 
@@ -245,8 +233,5 @@ def local_mean_operator(samples, cfg: SiftConfig = SiftConfig()) -> np.ndarray:
     x = as_float_array(samples)
     if not _decomposable(x):
         return x.copy()
-    try:
-        _, proto_residue = extract_imf(x, cfg)
-    except NotEnoughExtremaError:
-        return x.copy()
+    _, proto_residue = extract_imf(x, cfg)
     return proto_residue

@@ -7,12 +7,13 @@ set for the whole ensemble, exact additive reconstruction by telescoping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import SiftConfig, _decomposable, emd, local_mean_operator
-from .errors import InvalidSignalError
+from .emd import _decomposable, emd, local_mean_operator
+from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, Signal, as_float_array
 
 
@@ -21,24 +22,24 @@ class EnsembleConfig:
     """Ensemble decomposition parameters.
 
     epsilon0 scales the injected noise relative to the running residue's
-    standard deviation.
+    standard deviation. Every EMD inside the ensemble sifts with the
+    SiftConfig defaults.
     """
 
     ensemble_size: int = 50
     epsilon0: float = 0.2
     seed: int = 0
     max_modes: int = 12
-    sift: SiftConfig = field(default_factory=SiftConfig)
 
     def __post_init__(self):
         if self.ensemble_size < 1:
-            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
-        if self.epsilon0 <= 0:
-            raise ValueError(f"epsilon0 must be > 0, got {self.epsilon0}")
+            raise InvalidConfigError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
+        if not (math.isfinite(self.epsilon0) and self.epsilon0 > 0):
+            raise InvalidConfigError(f"epsilon0 must be finite and > 0, got {self.epsilon0}")
         if self.max_modes < 1:
-            raise ValueError(f"max_modes must be >= 1, got {self.max_modes}")
+            raise InvalidConfigError(f"max_modes must be >= 1, got {self.max_modes}")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise InvalidConfigError("seed must fit in 64 unsigned bits")
 
 
 @dataclass
@@ -75,16 +76,14 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> NoiseBank:
     if n < 4:
         raise InvalidSignalError(f"noise bank needs n >= 4, got {n}")
     cached = [
-        emd(Signal(_realization(n, cfg.seed, i), sample_rate_hz=1.0), cfg.sift,
+        emd(Signal(_realization(n, cfg.seed, i), sample_rate_hz=1.0),
             max_modes=cfg.max_modes).imfs
         for i in range(cfg.ensemble_size)
     ]
     return NoiseBank(cached_modes=cached, n=n)
 
 
-def _ensemble_mean_local_mean(
-    base: np.ndarray, scaled_noise: list[np.ndarray], cfg: EnsembleConfig
-) -> np.ndarray:
+def _ensemble_mean_local_mean(base: np.ndarray, scaled_noise: list[np.ndarray]) -> np.ndarray:
     """Average of M(base + noise_i) over the ensemble.
 
     Kahan-compensated summation in fixed index order, so the result does
@@ -93,7 +92,7 @@ def _ensemble_mean_local_mean(
     acc = np.zeros_like(base)
     comp = np.zeros_like(base)
     for noise in scaled_noise:
-        term = local_mean_operator(base + noise, cfg.sift)
+        term = local_mean_operator(base + noise)
         y = term - comp
         t = acc + y
         comp = (t - acc) - y
@@ -131,7 +130,7 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
                 scaled.append(beta * e1 / sd if sd > 0 else np.zeros_like(e1))
         else:
             scaled = [beta * bank.mode(i, k) for i in range(cfg.ensemble_size)]
-        next_residue = _ensemble_mean_local_mean(residue, scaled, cfg)
+        next_residue = _ensemble_mean_local_mean(residue, scaled)
         imfs.append(residue - next_residue)
         residue = next_residue
         if not _decomposable(residue):

@@ -7,6 +7,7 @@ is nonnegative.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,16 +24,16 @@ class ApEnConfig:
     The template length is fixed at 2 (the statistic compares 2- against
     3-long templates). The tolerance is tolerance_factor * std(series),
     or tolerance_factor * std_floor where the caller passes a larger
-    floor, unless absolute_tolerance overrides it.
+    floor.
     """
 
     tolerance_factor: float = 0.15
-    absolute_tolerance: float | None = None
-    embedding_m: int = 2
 
     def __post_init__(self):
-        if self.embedding_m != 2:
-            raise InvalidConfigError("only embedding_m = 2 is supported")
+        if not (math.isfinite(self.tolerance_factor) and self.tolerance_factor > 0):
+            raise InvalidConfigError(
+                f"tolerance_factor must be finite and > 0, got {self.tolerance_factor}"
+            )
         if not 0.1 <= self.tolerance_factor <= 0.2:
             warnings.warn(
                 f"tolerance_factor {self.tolerance_factor} is outside the "
@@ -50,16 +51,6 @@ class ApEnReport:
     flagged: list[int]
 
 
-def binary_distance_matrix(series, a: float) -> np.ndarray:
-    """Boolean matrix b_ij = |z_i - z_j| < a (strict; diagonal always True)."""
-    z = as_float_array(series)
-    if z.size < 4:
-        raise InvalidSignalError(f"need at least 4 samples, got {z.size}")
-    if a <= 0:
-        raise InvalidConfigError(f"tolerance must be positive, got {a}")
-    return np.abs(z[:, None] - z[None, :]) < a
-
-
 def approximate_entropy(
     series, cfg: ApEnConfig = ApEnConfig(), std_floor: float = 0.0
 ) -> float:
@@ -75,15 +66,10 @@ def approximate_entropy(
     n = z.size
     if n < 10:
         raise InvalidSignalError(f"approximate entropy needs n >= 10, got {n}")
-    if cfg.absolute_tolerance is not None:
-        a = float(cfg.absolute_tolerance)
-        if a <= 0:
-            raise InvalidConfigError(f"tolerance must be positive, got {a}")
-    else:
-        sd = max(float(z.std()), std_floor)
-        if sd == 0.0:
-            return 0.0
-        a = cfg.tolerance_factor * sd
+    sd = max(float(z.std()), std_floor)
+    if sd == 0.0:
+        return 0.0
+    a = cfg.tolerance_factor * sd
 
     b = np.abs(z[:, None] - z[None, :]) < a
     pair = b[:-1, :-1] & b[1:, 1:]
@@ -104,6 +90,8 @@ def apen_per_imf(
     """Approximate entropy of every IMF (residue excluded), flagging the
     indices whose entropy exceeds `threshold`. std_floor bounds each
     mode's relative tolerance from below (see approximate_entropy)."""
+    if not math.isfinite(threshold):
+        raise InvalidConfigError(f"threshold must be finite, got {threshold}")
     per_imf = [
         (k, approximate_entropy(imf, cfg, std_floor)) for k, imf in enumerate(dec.imfs)
     ]

@@ -13,7 +13,7 @@ class NotEnoughExtremaError(IceemdError):
     """Too few extrema to build envelopes; signals sifting termination."""
 
 
-class InvalidConfigError(IceemdError):
+class InvalidConfigError(IceemdError, ValueError):
     """A configuration value is out of its valid range."""
 
 

@@ -7,12 +7,14 @@ exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ensemble import EnsembleConfig, iceemd
 from .entropy import ApEnConfig, ApEnReport, apen_per_imf
+from .errors import InvalidConfigError
 from .types import Decomposition, Signal
 from .wavelet import DenoiseConfig, wavelet_denoise
 
@@ -35,6 +37,11 @@ class PipelineConfig:
     apen: ApEnConfig = field(default_factory=ApEnConfig)
     apen_threshold: float = DEFAULT_APEN_THRESHOLD
     denoise: DenoiseConfig = field(default_factory=DenoiseConfig)
+
+    def __post_init__(self):
+        # apen_per_imf checks the same, but only after the decomposition
+        if not math.isfinite(self.apen_threshold):
+            raise InvalidConfigError(f"apen_threshold must be finite, got {self.apen_threshold}")
 
 
 @dataclass

@@ -18,8 +18,15 @@ class SynthConfig:
     duration_s: float = 1.0
 
     def __post_init__(self):
-        if self.sample_rate_hz * self.duration_s < 100:
+        for name in ("sample_rate_hz", "duration_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidConfigError(f"{name} must be finite and > 0, got {value}")
+        n = self.sample_rate_hz * self.duration_s
+        if n < 100:
             raise InvalidConfigError("need at least 100 samples (fs * duration)")
+        if not math.isfinite(n):
+            raise InvalidConfigError("fs * duration overflows")
 
 
 @dataclass

@@ -220,7 +220,6 @@ class WaveletCoefficients:
 
     approximation: np.ndarray
     details: list[np.ndarray]
-    level_count: int
     original_length: int
     extension_mode: str
     wavelet: str
@@ -331,7 +330,6 @@ def dwt(signal, cfg: DenoiseConfig = DenoiseConfig()) -> WaveletCoefficients:
     return WaveletCoefficients(
         approximation=approx,
         details=details,
-        level_count=cfg.levels,
         original_length=x.size,
         extension_mode=cfg.extension_mode,
         wavelet=cfg.wavelet,
@@ -343,11 +341,10 @@ def idwt(coeffs: WaveletCoefficients, cfg: DenoiseConfig | None = None) -> np.nd
     wavelet = cfg.wavelet if cfg is not None else coeffs.wavelet
     mode = cfg.extension_mode if cfg is not None else coeffs.extension_mode
     spec = wavelet_spec(wavelet)
-    if len(coeffs.details) != coeffs.level_count:
-        raise InvalidSignalError("level_count does not match the detail bands")
-    lengths = _level_lengths(coeffs.original_length, coeffs.level_count, spec.length, mode)
+    levels = len(coeffs.details)
+    lengths = _level_lengths(coeffs.original_length, levels, spec.length, mode)
     approx = coeffs.approximation
-    for level in range(coeffs.level_count, 0, -1):
+    for level in range(levels, 0, -1):
         detail = coeffs.details[level - 1]
         if approx.size != lengths[level] or detail.size != lengths[level]:
             raise InvalidSignalError(

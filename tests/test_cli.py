@@ -187,3 +187,50 @@ class TestConfigErrors:
         code = run(["synth", "--fs", 10, "--duration", 1, "-o", tmp_path / "x.csv"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: config:")
+
+
+class TestNonFiniteFlags:
+    """Flag values the config validators must refuse: exit 1, one line."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        sig, dec = tmp_path / "sig.csv", tmp_path / "dec.csv"
+        run(["synth", "-o", sig])
+        run(["decompose", sig, "--method", "emd", "-o", dec])
+        return sig, dec
+
+    @pytest.mark.parametrize("command, flags, names", [
+        ("synth", ["--fs", "inf"], "sample_rate_hz"),
+        ("synth", ["--duration", "inf"], "duration_s"),
+        ("synth", ["--fs", "nan"], "sample_rate_hz"),
+        ("synth", ["--fs", "-1000", "--duration", "-1"], "sample_rate_hz"),
+        ("synth", ["--fs", "1e300", "--duration", "1e300"], "overflows"),
+        ("denoise", ["--epsilon0", "inf"], "epsilon0"),
+        ("denoise", ["--epsilon0", "nan"], "epsilon0"),
+        ("denoise", ["--apen-threshold", "nan"], "apen_threshold"),
+        ("apen", ["--tolerance-factor", "0"], "tolerance_factor"),
+        ("apen", ["--tolerance-factor", "-0.15"], "tolerance_factor"),
+        ("apen", ["--tolerance-factor", "nan"], "tolerance_factor"),
+        ("apen", ["--tolerance-factor", "inf"], "tolerance_factor"),
+        ("apen", ["--threshold", "nan"], "threshold"),
+    ], ids=[
+        "synth-fs-inf", "synth-duration-inf", "synth-fs-nan", "synth-negative-grid",
+        "synth-grid-overflow", "denoise-epsilon0-inf", "denoise-epsilon0-nan",
+        "denoise-apen-threshold-nan", "apen-tolerance-factor-0",
+        "apen-tolerance-factor-negative", "apen-tolerance-factor-nan",
+        "apen-tolerance-factor-inf", "apen-threshold-nan",
+    ])
+    def test_config_error_exit_1(self, files, tmp_path, capsys, command, flags, names):
+        sig, dec = files
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", *flags, "-o", out],
+            "denoise": ["denoise", sig, *flags, "--seed", 0, "-o", out],
+            "apen": ["apen", dec, *flags, "-o", out],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert names in err
+        assert not out.exists()

@@ -1,5 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iceemd import (
     EnsembleConfig,
@@ -16,12 +21,26 @@ from iceemd import (
 from iceemd.ensemble import generate_noise_bank
 from iceemd.signals import dominant_frequency
 
+# iceemd/__init__ rebinds the name `emd` to the function
+emd_module = sys.modules["iceemd.emd"]
+
 FS = 1000.0
 
 
 def sine(freq_hz, n=1000, fs=FS, amp=1.0):
     t = np.arange(n) / fs
     return amp * np.sin(2 * np.pi * freq_hz * t)
+
+
+# short finite series: bounded floats, integer-valued ones with plateaus,
+# and random walks
+short_series = st.integers(3, 64).flatmap(
+    lambda n: st.one_of(
+        arrays(np.float64, n, elements=st.floats(-1e3, 1e3)),
+        arrays(np.int64, n, elements=st.integers(-3, 3)).map(lambda a: a.astype(float)),
+        arrays(np.float64, n, elements=st.floats(-1.0, 1.0)).map(np.cumsum),
+    )
+)
 
 
 def count_zero_crossings(x):
@@ -98,6 +117,20 @@ class TestMeanEnvelope:
         env = mean_envelope(y, *find_extrema(y))
         assert np.abs(env - 2.5).max() < 0.05
 
+    @settings(max_examples=300, deadline=None)
+    @given(short_series)
+    def test_every_envelope_has_three_increasing_knots(self, y):
+        maxima, minima = find_extrema(y)
+        assume(maxima.size >= 1 and minima.size >= 1)
+        for count in (1, 2, 3):
+            ux, _, lx, _ = emd_module._envelope_knots(y, maxima, minima, count)
+            for knots in (ux, lx):
+                assert knots.size >= 3
+                assert np.all(np.diff(knots) > 0)
+            env = mean_envelope(y, maxima, minima, SiftConfig(boundary_extrema_count=count))
+            assert env.shape == y.shape
+            assert np.all(np.isfinite(env))
+
 
 class TestExtractImf:
     def test_pure_sine_is_its_own_imf(self):
@@ -131,6 +164,38 @@ class TestExtractImf:
         y = sine(20) + 0.3 * sine(100)
         imf, proto_residue = extract_imf(y)
         assert np.allclose(imf + proto_residue, y, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(short_series)
+    def test_decomposable_input_always_sifts(self, y):
+        assume(emd_module._decomposable(y))
+        imf, proto_residue = extract_imf(y)
+        assert imf.shape == y.shape and proto_residue.shape == y.shape
+
+    def test_one_extrema_pass_per_iterate(self, monkeypatch):
+        # 25 Hz plus 0.3 x 69 Hz: the SD stop holds before the IMF check
+        # does, so a sift that found the extrema twice for such an iterate
+        # would make more passes than envelopes + 1
+        calls = {"find_extrema": 0, "mean_envelope": 0}
+
+        def counted(name):
+            fn = getattr(emd_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(emd_module, name, wrapper)
+
+        counted("find_extrema")
+        counted("mean_envelope")
+        y = sine(25) + 0.3 * sine(69)
+        imf, _ = emd_module.extract_imf(y, SiftConfig())
+        iterations = calls["mean_envelope"]
+        assert 1 < iterations < SiftConfig().max_sift_iterations
+        maxima, minima = find_extrema(imf)
+        assert abs(maxima.size + minima.size - count_zero_crossings(imf)) <= 1
+        assert calls["find_extrema"] == iterations + 1
 
 
 class TestEmd:

@@ -8,49 +8,9 @@ from iceemd import (
     InvalidSignalError,
     apen_per_imf,
     approximate_entropy,
-    binary_distance_matrix,
 )
 
 from apen_oracle import apen_bruteforce
-
-
-class TestBinaryDistanceMatrix:
-    def test_three_point_example(self):
-        b = binary_distance_matrix([0.0, 10.0, 0.0, 0.0], 1.0)
-        expected = np.array(
-            [
-                [1, 0, 1, 1],
-                [0, 1, 0, 0],
-                [1, 0, 1, 1],
-                [1, 0, 1, 1],
-            ],
-            dtype=bool,
-        )
-        assert np.array_equal(b, expected)
-
-    def test_constant_series_all_ones(self):
-        b = binary_distance_matrix(np.full(16, 2.5), 0.3)
-        assert b.all()
-
-    def test_diagonal_always_true(self):
-        rng = np.random.default_rng(0)
-        b = binary_distance_matrix(rng.standard_normal(50), 0.01)
-        assert np.all(np.diag(b))
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            z = rng.standard_normal(30)
-            b = binary_distance_matrix(z, 0.5)
-            assert np.array_equal(b, b.T)
-
-    def test_strict_inequality(self):
-        b = binary_distance_matrix([0.0, 1.0, 2.0, 3.0], 1.0)
-        assert not b[0, 1]  # |0-1| == a is not < a
-
-    def test_invalid_tolerance(self):
-        with pytest.raises(InvalidConfigError):
-            binary_distance_matrix([0.0, 1.0, 2.0, 3.0], 0.0)
 
 
 class TestApproximateEntropy:
@@ -100,13 +60,19 @@ class TestApproximateEntropy:
         for c in (2.0, 0.5, 3.0, 117.0):
             assert approximate_entropy(c * z) == pytest.approx(base, abs=1e-12)
 
-    def test_absolute_tolerance_override(self):
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal(80)
-        cfg = ApEnConfig(absolute_tolerance=0.4)
-        assert approximate_entropy(z, cfg) == pytest.approx(
-            apen_bruteforce(z, 0.4), abs=1e-12
-        )
+    def test_strict_inequality(self):
+        # integer samples, tolerance 0.125 * 8.0 == 1.0 exactly: neighbours
+        # one apart are at the tolerance and must not match
+        z = np.random.default_rng(3).integers(0, 4, size=60).astype(float)
+        assert z.std() < 8.0
+        value = approximate_entropy(z, ApEnConfig(tolerance_factor=0.125), std_floor=8.0)
+        assert value == pytest.approx(apen_bruteforce(z, 1.0), abs=1e-12)
+        assert value != pytest.approx(apen_bruteforce(z, np.nextafter(1.0, 2.0)), abs=1e-6)
+
+    def test_invalid_tolerance(self):
+        for factor in (0.0, -0.15, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfigError):
+                ApEnConfig(tolerance_factor=factor)
 
     def test_std_floor(self):
         z = np.random.default_rng(4).standard_normal(80)
