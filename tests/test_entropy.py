@@ -17,6 +17,14 @@ class TestApproximateEntropy:
     def test_constant_series_is_zero(self):
         assert approximate_entropy(np.full(64, 1.23)) == 0.0
 
+    def test_constant_series_all_pairs_match(self):
+        # a std floor of 2.0 sets the tolerance to 0.15 * 2.0 == 0.3, so the
+        # match matrix is built; every template matches every other one
+        z = np.full(16, 2.5)
+        value = approximate_entropy(z, ApEnConfig(tolerance_factor=0.15), std_floor=2.0)
+        assert apen_bruteforce(z, 0.3) == 0.0
+        assert value == 0.0
+
     def test_period_two_matches_bruteforce(self):
         z = np.tile([1.0, -1.0], 50)
         cfg = ApEnConfig()
