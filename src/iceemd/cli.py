@@ -8,6 +8,7 @@ error. Errors print one machine-parsable line to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -121,12 +122,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_snr_db(snr_db: float) -> None:
+    if not math.isfinite(snr_db):
+        raise InvalidConfigError(f"snr_db must be finite, got {snr_db}")
+
+
 def _cmd_synth(args) -> int:
     cfg = SynthConfig(sample_rate_hz=args.fs, duration_s=args.duration)
     signal = synth_signal(cfg)
     if args.snr_db is not None:
         if args.seed is None:
             raise UsageError("--snr-db requires --seed (no silent entropy)")
+        _check_snr_db(args.snr_db)
         signal = add_noise_snr(signal, args.snr_db, seed=args.seed)
     write_signal_csv(signal, args.output, label="synthetic two-tone benchmark")
     return 0
@@ -160,11 +167,13 @@ def _cmd_decompose(args) -> int:
 def _cmd_apen(args) -> int:
     dec, _rate = read_decomposition_csv(args.input)
     cfg = ApEnConfig(tolerance_factor=args.tolerance_factor)
-    # a stored decomposition records neither epsilon0 nor the ensemble
-    # size, so iceemd_de's residual-noise floor cannot be applied here: the
-    # tolerance stays tolerance_factor * std(imf) for every mode
     report = apen_per_imf(dec, cfg, threshold=args.threshold)
-    config_echo = {"input": args.input, "apen": asdict(cfg), "threshold": args.threshold}
+    config_echo = {
+        "input": args.input,
+        "apen": asdict(cfg),
+        "threshold": args.threshold,
+        "noise_floor": dec.noise_floor,
+    }
     _write_run_report(args.output, config_echo, _apen_table(report), None, [])
     return 0
 
@@ -211,6 +220,7 @@ def _cmd_denoise(args) -> int:
 def _cmd_bench(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
+    _check_snr_db(args.snr_db)
     pipeline = PipelineConfig()
     table = run_benchmark(
         n_seeds=args.seeds,

@@ -109,15 +109,22 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     residue is the ensemble-averaged local mean; IMFs are the successive
     residue differences, so the IMFs plus the final residue reproduce the
     input exactly.
+
+    The result's noise_floor is epsilon0 * std(signal) / sqrt(ensemble_size),
+    the residual noise an ensemble of that size leaves behind (Wu & Huang
+    2009). The entropy gate never takes a mode's tolerance finer than that,
+    so a mode that holds only this remnant is not taken for measurement
+    noise.
     """
     x = as_float_array(signal.samples)
     if x.size < 4:
         raise InvalidSignalError(f"signal too short to decompose ({x.size} samples)")
+    floor = cfg.epsilon0 * float(x.std()) / np.sqrt(cfg.ensemble_size)
 
     imfs: list[np.ndarray] = []
     residue = x.copy()
     if not _decomposable(residue):
-        return Decomposition(imfs=imfs, residue=residue)
+        return Decomposition(imfs=imfs, residue=residue, noise_floor=floor)
 
     bank = generate_noise_bank(x.size, cfg)
     for k in range(1, cfg.max_modes + 1):
@@ -135,4 +142,4 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
         residue = next_residue
         if not _decomposable(residue):
             break
-    return Decomposition(imfs=imfs, residue=residue)
+    return Decomposition(imfs=imfs, residue=residue, noise_floor=floor)

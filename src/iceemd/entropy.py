@@ -82,18 +82,16 @@ def approximate_entropy(
 
 
 def apen_per_imf(
-    dec: Decomposition,
-    cfg: ApEnConfig = ApEnConfig(),
-    threshold: float = 0.0,
-    std_floor: float = 0.0,
+    dec: Decomposition, cfg: ApEnConfig = ApEnConfig(), threshold: float = 0.0
 ) -> ApEnReport:
     """Approximate entropy of every IMF (residue excluded), flagging the
-    indices whose entropy exceeds `threshold`. std_floor bounds each
+    indices whose entropy exceeds `threshold`. dec.noise_floor bounds each
     mode's relative tolerance from below (see approximate_entropy)."""
     if not math.isfinite(threshold):
         raise InvalidConfigError(f"threshold must be finite, got {threshold}")
     per_imf = [
-        (k, approximate_entropy(imf, cfg, std_floor)) for k, imf in enumerate(dec.imfs)
+        (k, approximate_entropy(imf, cfg, dec.noise_floor))
+        for k, imf in enumerate(dec.imfs)
     ]
     flagged = [k for k, value in per_imf if value > threshold]
     return ApEnReport(per_imf=per_imf, threshold=threshold, flagged=flagged)

@@ -3,7 +3,8 @@
 Signal CSV: `# key=value` comment lines carrying the sampling metadata,
 then one amplitude per row (a two-column `t,amplitude` form is accepted
 on read; t is checked for uniform spacing and dropped). Decomposition
-CSV: a named column row `t,imf1..imfK,residue` after the comments.
+CSV: the same comments plus `noise_floor`, then a named column row
+`t,imf1..imfK,residue`.
 Floats are printed with 17 significant digits so write-read is lossless.
 """
 from __future__ import annotations
@@ -22,6 +23,29 @@ _RATE_TOLERANCE = 1e-3  # relative mismatch allowed between rate and interval
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _header_number(
+    path: str, meta: dict[str, tuple[int, str]], key: str, allow_zero: bool = False
+) -> float | None:
+    """The number a `# key=value` line states, None without such a line.
+
+    It must be finite and positive (or zero, where allow_zero is set);
+    anything else is rejected with the line number.
+    """
+    if key not in meta:
+        return None
+    lineno, value = meta[key]
+    try:
+        number = float(value)
+    except ValueError:
+        number = float("nan")
+    if not (np.isfinite(number) and (number > 0 or (allow_zero and number == 0))):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise SignalFormatError(
+            f"{path}: {key} must be a {kind} number, got {value!r}", line=lineno
+        )
+    return number
 
 
 def _read_file(path: str) -> tuple[dict[str, tuple[int, str]], float, list[tuple[int, str]]]:
@@ -45,22 +69,8 @@ def _read_file(path: str) -> tuple[dict[str, tuple[int, str]], float, list[tuple
         if eq:
             meta[key.strip()] = (lineno, value.strip())
 
-    def positive(key: str) -> float | None:
-        if key not in meta:
-            return None
-        lineno, value = meta[key]
-        try:
-            number = float(value)
-        except ValueError:
-            number = float("nan")
-        if not (np.isfinite(number) and number > 0):
-            raise SignalFormatError(
-                f"{path}: {key} must be a positive number, got {value!r}", line=lineno
-            )
-        return number
-
-    rate_hz = positive("sample_rate_hz")
-    interval_s = positive("sample_interval_s")
+    rate_hz = _header_number(path, meta, "sample_rate_hz")
+    interval_s = _header_number(path, meta, "sample_interval_s")
     if rate_hz is None and interval_s is None:
         raise SignalFormatError(
             f"{path}: missing sampling metadata "
@@ -151,12 +161,14 @@ def write_signal_csv(signal: Signal, path, label: str = "") -> None:
 def write_decomposition_csv(
     dec: Decomposition, path, sample_rate_hz: float, tool_version: str
 ) -> None:
-    """Write columns t, imf1..imfK, residue with lossless float formatting."""
+    """Write columns t, imf1..imfK, residue with lossless float formatting;
+    the header carries the decomposition's noise floor."""
     n = dec.residue.size
     columns = [np.arange(n) / sample_rate_hz, *dec.imfs, dec.residue]
     names = ["t"] + [f"imf{k + 1}" for k in range(dec.n_imfs)] + ["residue"]
     with open(str(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# sample_rate_hz={_fmt(sample_rate_hz)}\n")
+        fh.write(f"# noise_floor={_fmt(dec.noise_floor)}\n")
         fh.write(f"# tool_version={tool_version}\n")
         fh.write(f"# format_version={FORMAT_VERSION}\n")
         fh.write(",".join(names) + "\n")
@@ -165,9 +177,13 @@ def write_decomposition_csv(
 
 
 def read_decomposition_csv(path) -> tuple[Decomposition, float]:
-    """Read a decomposition file back; returns (decomposition, sample_rate_hz)."""
+    """Read a decomposition file back; returns (decomposition, sample_rate_hz).
+
+    A file without a `# noise_floor=` line reads with a floor of 0.
+    """
     path = str(path)
-    _, rate, body = _read_file(path)
+    meta, rate, body = _read_file(path)
+    noise_floor = _header_number(path, meta, "noise_floor", allow_zero=True) or 0.0
     if not body:
         raise SignalFormatError(f"{path}: missing column header row")
     header_lineno, header_line = body[0]
@@ -180,7 +196,7 @@ def read_decomposition_csv(path) -> tuple[Decomposition, float]:
     data = _read_rows(path, body[1:], len(names))
     imfs = [data[:, k].copy() for k in range(1, len(names) - 1)]
     residue = data[:, -1].copy()
-    return Decomposition(imfs=imfs, residue=residue), rate
+    return Decomposition(imfs=imfs, residue=residue, noise_floor=noise_floor), rate
 
 
 def write_report(report: dict, path) -> None:

@@ -22,10 +22,10 @@ from .wavelet import DenoiseConfig, wavelet_denoise
 # modes: midpoint (0.868) between the largest entropy among the clean
 # synthetic benchmark's tone modes (0.221, ensemble seed 0) and the
 # entropy of seeded white noise (1.514, n = 1000), both at tolerance
-# factor 0.15, rounded to one decimal. With the residual-noise floor of
-# iceemd_de, no mode of a clean sine or the clean benchmark scores above
-# 0.61 at ensemble seeds 0-11. See docs/calibration.md; regenerate with
-# tools/calibrate_apen_threshold.py.
+# factor 0.15, rounded to one decimal. With the decomposition's
+# residual-noise floor, no mode of a clean sine or the clean benchmark
+# scores above 0.61 at ensemble seeds 0-11. See docs/calibration.md;
+# regenerate with tools/calibrate_apen_threshold.py.
 DEFAULT_APEN_THRESHOLD = 0.9
 
 
@@ -56,7 +56,11 @@ class DenoiseResult:
     apen_report: ApEnReport
     imfs_denoised: list[tuple[int, np.ndarray, np.ndarray]]
     output: Signal
-    denoised_indices: list[int]
+
+    @property
+    def denoised_indices(self) -> list[int]:
+        """Indices of the flagged, hence denoised, modes."""
+        return list(self.apen_report.flagged)
 
     def processed_imfs(self) -> list[np.ndarray]:
         """IMFs after gating: denoised where flagged, original elsewhere."""
@@ -81,33 +85,19 @@ def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> Denoise
     denoise the modes above cfg.apen_threshold (the residue is a trend and
     is never denoised), and sum everything back into the output signal.
     Modes too short for the configured level count fall back to as few as
-    one level instead of failing.
-
-    Each mode's entropy tolerance is tolerance_factor * max(std(imf),
-    epsilon0 * std(x) / sqrt(ensemble_size)): never finer than the residual
-    noise an ensemble of that size leaves behind (Wu & Huang 2009). A mode
-    that holds only that remnant is measured against the noise level it
-    came from, not against its own tiny std, so it is not taken for
-    measurement noise and a clean signal passes through unchanged. Every
-    mode whose std lies above the floor scores exactly as with the plain
-    per-mode tolerance.
+    one level instead of failing. Each mode's entropy tolerance is floored
+    at the decomposition's noise_floor (see ensemble.iceemd), so a clean
+    signal passes through unchanged.
     """
     dec = iceemd(signal, cfg.ensemble)
-    ens = cfg.ensemble
-    floor = ens.epsilon0 * float(signal.samples.std()) / np.sqrt(ens.ensemble_size)
-    report = apen_per_imf(dec, cfg.apen, cfg.apen_threshold, std_floor=floor)
+    report = apen_per_imf(dec, cfg.apen, cfg.apen_threshold)
     denoised: list[tuple[int, np.ndarray, np.ndarray]] = []
     processed = list(dec.imfs)
     for k in report.flagged:
         before = dec.imfs[k]
         # entropy needs n >= 10, so one level (n >= 8) is always feasible
         levels = _feasible_levels(before.size, cfg.denoise.levels)
-        dcfg = (
-            cfg.denoise
-            if levels == cfg.denoise.levels
-            else replace(cfg.denoise, levels=levels)
-        )
-        after = wavelet_denoise(before, dcfg)
+        after = wavelet_denoise(before, replace(cfg.denoise, levels=levels))
         processed[k] = after
         denoised.append((k, before, after))
     output = Decomposition(processed, dec.residue).reconstruct()
@@ -116,5 +106,4 @@ def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> Denoise
         apen_report=report,
         imfs_denoised=denoised,
         output=signal.with_samples(output),
-        denoised_indices=list(report.flagged),
     )

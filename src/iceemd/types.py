@@ -63,10 +63,14 @@ class Decomposition:
     The elementwise sum of ``imfs`` and ``residue`` reconstructs the
     decomposed signal (telescoping identity of the extraction loop). Every
     IMF must be as long as the residue.
+
+    noise_floor is the std of the residual noise that the producing
+    ensemble leaves in each mode; 0.0 where no noise was added (plain EMD).
     """
 
     imfs: list[np.ndarray]
     residue: np.ndarray
+    noise_floor: float = 0.0
 
     def __post_init__(self):
         self.residue = np.asarray(self.residue, dtype=np.float64)
@@ -76,6 +80,11 @@ class Decomposition:
                 raise InvalidSignalError(
                     f"imf {k} has length {imf.size}, residue has {self.residue.size}"
                 )
+        self.noise_floor = float(self.noise_floor)
+        if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
+            raise InvalidSignalError(
+                f"noise_floor must be finite and >= 0, got {self.noise_floor}"
+            )
 
     @property
     def n_imfs(self) -> int:

@@ -146,6 +146,14 @@ class TestErrors:
         assert err.startswith("error: format:") and err.count("\n") == 1
         assert "line " in err
 
+    def test_bad_noise_floor_exit_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "dec.csv"
+        bad.write_text("# sample_rate_hz=1000\n# noise_floor=-1\nt,imf1,residue\n0,1,2\n")
+        assert run(["apen", bad, "-o", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: format: line 2:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["metrics", tmp_path / "no.csv", tmp_path / "no.csv"]) == 2
 
@@ -213,12 +221,17 @@ class TestNonFiniteFlags:
         ("apen", ["--tolerance-factor", "nan"], "tolerance_factor"),
         ("apen", ["--tolerance-factor", "inf"], "tolerance_factor"),
         ("apen", ["--threshold", "nan"], "threshold"),
+        ("synth", ["--snr-db", "nan", "--seed", "1"], "snr_db"),
+        ("synth", ["--snr-db", "inf", "--seed", "1"], "snr_db"),
+        ("bench", ["--seeds", "1", "--snr-db", "nan"], "snr_db"),
+        ("bench", ["--seeds", "1", "--snr-db", "inf"], "snr_db"),
     ], ids=[
         "synth-fs-inf", "synth-duration-inf", "synth-fs-nan", "synth-negative-grid",
         "synth-grid-overflow", "denoise-epsilon0-inf", "denoise-epsilon0-nan",
         "denoise-apen-threshold-nan", "apen-tolerance-factor-0",
         "apen-tolerance-factor-negative", "apen-tolerance-factor-nan",
-        "apen-tolerance-factor-inf", "apen-threshold-nan",
+        "apen-tolerance-factor-inf", "apen-threshold-nan", "synth-snr-db-nan",
+        "synth-snr-db-inf", "bench-snr-db-nan", "bench-snr-db-inf",
     ])
     def test_config_error_exit_1(self, files, tmp_path, capsys, command, flags, names):
         sig, dec = files
@@ -227,6 +240,7 @@ class TestNonFiniteFlags:
             "synth": ["synth", *flags, "-o", out],
             "denoise": ["denoise", sig, *flags, "--seed", 0, "-o", out],
             "apen": ["apen", dec, *flags, "-o", out],
+            "bench": ["bench", *flags, "-o", out],
         }[command]
         capsys.readouterr()
         assert run(argv) == 1

@@ -121,8 +121,10 @@ class TestIceemd:
         assert np.abs(3.7 * base.residue - scaled.residue).max() <= 1e-6 * 3.7 * ref
 
     def test_monotone_input_returns_residue(self):
-        dec = iceemd(Signal(np.linspace(0, 1, 64), FS), EnsembleConfig(ensemble_size=2, seed=0))
+        x = np.linspace(0, 1, 64)
+        dec = iceemd(Signal(x, FS), EnsembleConfig(ensemble_size=2, seed=0))
         assert dec.n_imfs == 0
+        assert dec.noise_floor == 0.2 * float(x.std()) / np.sqrt(2)
 
     def test_benchmark_separation(self):
         # the gated-burst mode peaks within 2 bins of its carrier and the
@@ -137,6 +139,13 @@ class TestIceemd:
         assert burst_idx, f"no burst mode found in {doms}"
         assert tone_idx, f"no 20 Hz mode found in {doms}"
         assert burst_idx[0] < tone_idx[0]
+
+    def test_noise_floor(self):
+        sig = Signal(two_tone(n=400), FS)
+        cfg = EnsembleConfig(ensemble_size=3, epsilon0=0.3, seed=2)
+        floor = cfg.epsilon0 * float(sig.samples.std()) / np.sqrt(cfg.ensemble_size)
+        assert iceemd(sig, cfg).noise_floor == floor
+        assert emd(sig).noise_floor == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

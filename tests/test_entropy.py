@@ -127,6 +127,12 @@ class TestApenPerImf:
         report = apen_per_imf(dec, threshold=-1.0)
         assert len(report.per_imf) == 1
 
+    def test_tolerance_floored_at_noise_floor(self):
+        z = np.random.default_rng(4).standard_normal(64)
+        dec = Decomposition(imfs=[z], residue=np.zeros(64), noise_floor=3.0)
+        cfg = ApEnConfig()
+        assert apen_per_imf(dec, cfg).per_imf[0][1] == approximate_entropy(z, cfg, 3.0)
+
     def test_order_preserved(self):
         rng = np.random.default_rng(3)
         dec = self._dec([rng.standard_normal(64) for _ in range(4)])

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from iceemd import Decomposition, Signal, SignalFormatError, emd
+from iceemd import (
+    ApEnConfig,
+    Decomposition,
+    EnsembleConfig,
+    Signal,
+    SignalFormatError,
+    approximate_entropy,
+    emd,
+    iceemd,
+)
+from iceemd.cli import run_cli
 from iceemd.io import (
     read_decomposition_csv,
     read_report,
@@ -108,6 +118,36 @@ class TestDecompositionCsv:
             assert np.array_equal(a, b)
         assert np.array_equal(back.residue, dec.residue)
 
+    def test_noise_floor_round_trip(self, tmp_path):
+        sig = random_signal(n=128, seed=4, fs=1000.0)
+        dec = iceemd(sig, EnsembleConfig(ensemble_size=3, seed=5))
+        assert dec.noise_floor > 0
+        path = tmp_path / "dec.csv"
+        write_decomposition_csv(dec, path, sig.sample_rate_hz, "0.1.0")
+        back, _ = read_decomposition_csv(path)
+        assert back.noise_floor == dec.noise_floor
+
+    def test_file_without_noise_floor_gets_plain_tolerance(self, tmp_path):
+        # a decomposition CSV written before the noise floor was stored; the
+        # sine's first modes are remnants with a std below the floor, so the
+        # plain and the floored tolerance give different entropies
+        sig = Signal(np.sin(2 * np.pi * 20 * np.arange(200) / 1000.0), 1000.0)
+        dec = iceemd(sig, EnsembleConfig(ensemble_size=3, seed=0))
+        path = tmp_path / "dec.csv"
+        write_decomposition_csv(dec, path, sig.sample_rate_hz, "0.1.0")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not ln.startswith("# noise_floor=")))
+        back, _ = read_decomposition_csv(path)
+        assert back.noise_floor == 0.0
+        report_path = tmp_path / "apen.json"
+        assert run_cli(["apen", str(path), "-o", str(report_path)]) == 0
+        report = read_report(report_path)
+        assert report["config_echo"]["noise_floor"] == 0.0
+        cfg = ApEnConfig()
+        plain = [approximate_entropy(imf, cfg) for imf in dec.imfs]
+        assert [row["apen"] for row in report["apen_table"]["per_imf"]] == plain
+        assert plain[0] != approximate_entropy(dec.imfs[0], cfg, dec.noise_floor)
+
     def test_empty_imf_columns(self, tmp_path):
         dec = Decomposition(imfs=[], residue=np.linspace(0, 1, 16))
         path = tmp_path / "dec.csv"
@@ -156,6 +196,14 @@ class TestHeaderAndRows:
         path.write_text(f"# label=x\n# sample_rate_hz={rate}\n" + body)
         with pytest.raises(SignalFormatError) as err:
             reader(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("floor", ["-1", "nan", "inf", "abc"])
+    def test_bad_noise_floor_rejected_with_line(self, tmp_path, floor):
+        path = tmp_path / "dec.csv"
+        path.write_text(f"# sample_rate_hz=1000\n# noise_floor={floor}\n" + DEC_BODY)
+        with pytest.raises(SignalFormatError) as err:
+            read_decomposition_csv(path)
         assert err.value.line == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

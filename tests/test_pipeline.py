@@ -13,6 +13,8 @@ from iceemd import (
     iceemd_de,
     synth_signal,
 )
+from iceemd.cli import run_cli
+from iceemd.io import read_report, write_decomposition_csv
 
 FS = 1000.0
 
@@ -33,6 +35,11 @@ class TestReconstruct:
     def test_length_mismatch(self):
         with pytest.raises(InvalidSignalError):
             Decomposition([np.zeros(8)], np.zeros(9))
+
+    @pytest.mark.parametrize("floor", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_floor(self, floor):
+        with pytest.raises(InvalidSignalError):
+            Decomposition([], np.zeros(8), noise_floor=floor)
 
 
 class TestGate:
@@ -109,6 +116,17 @@ class TestSeedSweep:
         assert result.imfs_denoised == []
         err = np.abs(result.output.samples - sig.samples).max()
         assert err <= 1e-8 * np.abs(sig.samples).max()
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("name", sorted(CLEAN_SIGNALS))
+    def test_stored_decomposition_gets_pipeline_verdict(self, clean_run, tmp_path, name, seed):
+        sig, result = clean_run(name, seed)
+        dec_path, rep_path = tmp_path / "dec.csv", tmp_path / "apen.json"
+        write_decomposition_csv(result.decomposition_raw, dec_path, sig.sample_rate_hz, "test")
+        assert run_cli(["apen", str(dec_path), "-o", str(rep_path)]) == 0
+        rows = read_report(rep_path)["apen_table"]["per_imf"]
+        assert [(row["imf_index"] - 1, row["apen"]) for row in rows] == result.apen_report.per_imf
+        assert [row["imf_index"] - 1 for row in rows if row["flagged"]] == result.denoised_indices
 
     @pytest.mark.parametrize("seed", range(5))
     def test_burst_mode_on_carrier(self, clean_run, seed):
