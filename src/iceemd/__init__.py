@@ -13,7 +13,7 @@ from .emd import (
     local_mean_operator,
     mean_envelope,
 )
-from .ensemble import EnsembleConfig, NoiseBank, generate_noise_bank, iceemd
+from .ensemble import EnsembleConfig, generate_noise_bank, iceemd
 from .entropy import (
     ApEnConfig,
     ApEnReport,
@@ -70,7 +70,6 @@ __all__ = [
     "IceemdError",
     "InvalidConfigError",
     "InvalidSignalError",
-    "NoiseBank",
     "NotEnoughExtremaError",
     "PipelineConfig",
     "SiftConfig",

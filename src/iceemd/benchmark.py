@@ -20,11 +20,6 @@ from .wavelet import wavelet_denoise
 ENSEMBLE_SEED_OFFSET = 1_000_003
 
 
-def _stats(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    return {"mean": float(arr.mean()), "std": float(arr.std())}
-
-
 def run_benchmark(
     n_seeds: int = 10,
     input_snr_db: float = 5.0,
@@ -34,10 +29,8 @@ def run_benchmark(
 ) -> dict:
     """Run the comparison over seeds base_seed..base_seed+n_seeds-1."""
     clean = synth_signal(synth)
-    rows = {
-        "original": {"snr_db": [], "rmse": []},
-        "iceemd_de": {"snr_db": [], "rmse": []},
-        "wavelet": {"snr_db": [], "rmse": []},
+    scores: dict[str, list[tuple[float, float]]] = {
+        "original": [], "iceemd_de": [], "wavelet": []
     }
     for i in range(n_seeds):
         noise_seed = base_seed + i
@@ -48,23 +41,20 @@ def run_benchmark(
         )
         denoised = iceemd_de(noisy, cfg).output
         wavelet_only = noisy.with_samples(wavelet_denoise(noisy.samples, pipeline.denoise))
-        rows["original"]["snr_db"].append(snr(clean, noisy))
-        rows["original"]["rmse"].append(rmse(clean, noisy))
-        rows["iceemd_de"]["snr_db"].append(snr(clean, denoised))
-        rows["iceemd_de"]["rmse"].append(rmse(clean, denoised))
-        rows["wavelet"]["snr_db"].append(snr(clean, wavelet_only))
-        rows["wavelet"]["rmse"].append(rmse(clean, wavelet_only))
+        for method, estimate in (
+            ("original", noisy), ("iceemd_de", denoised), ("wavelet", wavelet_only)
+        ):
+            scores[method].append((snr(clean, estimate), rmse(clean, estimate)))
 
     result = {}
-    for method, series in rows.items():
-        snr_stats = _stats(series["snr_db"])
-        rmse_stats = _stats(series["rmse"])
+    for method, pairs in scores.items():
+        snrs, rmses = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
         result[method] = {
-            "snr_mean": snr_stats["mean"],
-            "snr_std": snr_stats["std"],
-            "rmse_mean": rmse_stats["mean"],
-            "rmse_std": rmse_stats["std"],
-            "per_seed_snr_db": series["snr_db"],
-            "per_seed_rmse": series["rmse"],
+            "snr_mean": float(snrs.mean()),
+            "snr_std": float(snrs.std()),
+            "rmse_mean": float(rmses.mean()),
+            "rmse_std": float(rmses.std()),
+            "per_seed_snr_db": snrs.tolist(),
+            "per_seed_rmse": rmses.tolist(),
         }
     return result

@@ -8,7 +8,6 @@ error. Errors print one machine-parsable line to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 
@@ -28,7 +27,7 @@ from .io import (
 )
 from .pipeline import DEFAULT_APEN_THRESHOLD, PipelineConfig, iceemd_de
 from .signals import SynthConfig, add_noise_snr, rmse, snr, synth_signal
-from .wavelet import SUPPORTED_WAVELETS, DenoiseConfig
+from .wavelet import SIGMA_ESTIMATORS, SUPPORTED_WAVELETS, DenoiseConfig
 
 
 class UsageError(Exception):
@@ -75,8 +74,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="emit the synthetic two-tone benchmark signal")
-    p.add_argument("--fs", type=float, default=1000.0, help="sample rate in Hz")
-    p.add_argument("--duration", type=float, default=1.0, help="duration in s")
+    p.add_argument(
+        "--fs", type=float, default=SynthConfig.sample_rate_hz, help="sample rate in Hz"
+    )
+    p.add_argument("--duration", type=float, default=SynthConfig.duration_s, help="duration in s")
     p.add_argument("--snr-db", type=float, default=None, help="inject noise at this SNR")
     p.add_argument("--seed", type=int, default=None, help="noise seed")
     p.add_argument("-o", "--output", required=True, help="output signal CSV")
@@ -84,16 +85,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="decompose a signal CSV into IMFs")
     p.add_argument("input", help="input signal CSV")
     p.add_argument("--method", choices=("emd", "iceemd"), default="iceemd")
-    p.add_argument("--ensemble-size", type=int, default=50)
-    p.add_argument("--epsilon0", type=float, default=0.2)
-    p.add_argument("--max-modes", type=int, default=12)
+    p.add_argument("--ensemble-size", type=int, default=EnsembleConfig.ensemble_size)
+    p.add_argument("--epsilon0", type=float, default=EnsembleConfig.epsilon0)
+    p.add_argument("--max-modes", type=int, default=EnsembleConfig.max_modes)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", required=True, help="output decomposition CSV")
     p.add_argument("--report", default=None, help="optional JSON report path")
 
     p = sub.add_parser("apen", help="approximate entropy of a decomposition CSV")
     p.add_argument("input", help="decomposition CSV")
-    p.add_argument("--tolerance-factor", type=float, default=0.15)
+    p.add_argument("--tolerance-factor", type=float, default=ApEnConfig.tolerance_factor)
     p.add_argument("--threshold", type=float, default=DEFAULT_APEN_THRESHOLD)
     p.add_argument("-o", "--output", required=True, help="output JSON report")
 
@@ -101,11 +102,13 @@ def _build_parser() -> _Parser:
     p.add_argument("input", help="input signal CSV")
     p.add_argument("--reference", default=None, help="clean reference CSV for SNR/RMSE")
     p.add_argument("--apen-threshold", type=float, default=DEFAULT_APEN_THRESHOLD)
-    p.add_argument("--wavelet", choices=SUPPORTED_WAVELETS, default="db4")
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--sigma-estimator", choices=("mad_finest", "signal_std"), default="signal_std")
-    p.add_argument("--ensemble-size", type=int, default=50)
-    p.add_argument("--epsilon0", type=float, default=0.2)
+    p.add_argument("--wavelet", choices=SUPPORTED_WAVELETS, default=DenoiseConfig.wavelet)
+    p.add_argument("--levels", type=int, default=DenoiseConfig.levels)
+    p.add_argument(
+        "--sigma-estimator", choices=SIGMA_ESTIMATORS, default=DenoiseConfig.sigma_estimator
+    )
+    p.add_argument("--ensemble-size", type=int, default=EnsembleConfig.ensemble_size)
+    p.add_argument("--epsilon0", type=float, default=EnsembleConfig.epsilon0)
     p.add_argument("--seed", type=int, required=True, help="ensemble noise seed")
     p.add_argument("-o", "--output", required=True, help="output denoised signal CSV")
     p.add_argument("--report", default=None, help="optional JSON report path")
@@ -122,18 +125,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_snr_db(snr_db: float) -> None:
-    if not math.isfinite(snr_db):
-        raise InvalidConfigError(f"snr_db must be finite, got {snr_db}")
-
-
 def _cmd_synth(args) -> int:
     cfg = SynthConfig(sample_rate_hz=args.fs, duration_s=args.duration)
     signal = synth_signal(cfg)
     if args.snr_db is not None:
         if args.seed is None:
             raise UsageError("--snr-db requires --seed (no silent entropy)")
-        _check_snr_db(args.snr_db)
         signal = add_noise_snr(signal, args.snr_db, seed=args.seed)
     write_signal_csv(signal, args.output, label="synthetic two-tone benchmark")
     return 0
@@ -184,7 +181,6 @@ def _cmd_denoise(args) -> int:
         ensemble=EnsembleConfig(
             ensemble_size=args.ensemble_size, epsilon0=args.epsilon0, seed=args.seed
         ),
-        apen=ApEnConfig(),
         apen_threshold=args.apen_threshold,
         denoise=DenoiseConfig(
             wavelet=args.wavelet,
@@ -205,10 +201,7 @@ def _cmd_denoise(args) -> int:
         config_echo = {
             "input": args.input,
             "reference": args.reference,
-            "ensemble": asdict(cfg.ensemble),
-            "apen": asdict(cfg.apen),
-            "apen_threshold": cfg.apen_threshold,
-            "denoise": asdict(cfg.denoise),
+            **asdict(cfg),
             "sample_rate_hz": signal.sample_rate_hz,
         }
         _write_run_report(
@@ -220,13 +213,8 @@ def _cmd_denoise(args) -> int:
 def _cmd_bench(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
-    _check_snr_db(args.snr_db)
-    pipeline = PipelineConfig()
     table = run_benchmark(
-        n_seeds=args.seeds,
-        input_snr_db=args.snr_db,
-        base_seed=args.base_seed,
-        pipeline=pipeline,
+        n_seeds=args.seeds, input_snr_db=args.snr_db, base_seed=args.base_seed
     )
     report = {
         "config_echo": {
@@ -235,10 +223,7 @@ def _cmd_bench(args) -> int:
             "base_seed": args.base_seed,
             "ensemble_seed_offset": ENSEMBLE_SEED_OFFSET,
             "synth": asdict(SynthConfig()),
-            "ensemble": asdict(pipeline.ensemble),
-            "apen": asdict(pipeline.apen),
-            "apen_threshold": pipeline.apen_threshold,
-            "denoise": asdict(pipeline.denoise),
+            **asdict(PipelineConfig()),
         },
         **table,
         "versions": _versions(),

@@ -6,12 +6,13 @@ M the ensemble recursion is built from (M(x) = x minus the first IMF of x).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import InvalidSignalError, NotEnoughExtremaError
+from .errors import InvalidConfigError, InvalidSignalError, NotEnoughExtremaError
 from .types import Decomposition, Signal, as_float_array
 
 
@@ -31,12 +32,14 @@ class SiftConfig:
     boundary_extrema_count: int = 2
 
     def __post_init__(self):
-        if self.sd_threshold <= 0:
-            raise ValueError(f"sd_threshold must be > 0, got {self.sd_threshold}")
-        if self.max_sift_iterations < 1:
-            raise ValueError("max_sift_iterations must be >= 1")
-        if self.boundary_extrema_count < 1:
-            raise ValueError("boundary_extrema_count must be >= 1")
+        if not (math.isfinite(self.sd_threshold) and self.sd_threshold > 0):
+            raise InvalidConfigError(
+                f"sd_threshold must be finite and > 0, got {self.sd_threshold}"
+            )
+        for name in ("max_sift_iterations", "boundary_extrema_count"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {value}")
 
 
 def find_extrema(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +219,7 @@ def emd(signal: Signal, cfg: SiftConfig = SiftConfig(), max_modes: int = 12) -> 
     float accumulation.
     """
     if max_modes < 1:
-        raise ValueError(f"max_modes must be >= 1, got {max_modes}")
+        raise InvalidConfigError(f"max_modes must be >= 1, got {max_modes}")
     x = as_float_array(signal.samples)
     if x.size < 4:
         raise InvalidSignalError(f"signal too short to decompose ({x.size} samples)")

@@ -42,26 +42,6 @@ class EnsembleConfig:
             raise InvalidConfigError("seed must fit in 64 unsigned bits")
 
 
-@dataclass
-class NoiseBank:
-    """The cached EMD modes of seeded white-noise realizations of length n.
-
-    Realization i is derived from (seed, i) alone, so the same index gives
-    the same sequence for any ensemble size. Each realization is
-    standardized to exact zero mean and unit population std.
-    """
-
-    cached_modes: list[list[np.ndarray]]
-    n: int
-
-    def mode(self, i: int, k: int) -> np.ndarray:
-        """E_k of realization i; zeros when fewer than k modes exist."""
-        modes = self.cached_modes[i]
-        if k <= len(modes):
-            return modes[k - 1]
-        return np.zeros(self.n)
-
-
 def _realization(n: int, seed: int, index: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     w = rng.standard_normal(n)
@@ -70,17 +50,22 @@ def _realization(n: int, seed: int, index: int) -> np.ndarray:
     return w
 
 
-def generate_noise_bank(n: int, cfg: EnsembleConfig) -> NoiseBank:
-    """Generate cfg.ensemble_size standardized noise realizations of length n
-    and cache their EMD modes up to cfg.max_modes."""
+def generate_noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
+    """The EMD modes, up to cfg.max_modes, of cfg.ensemble_size seeded
+    white-noise realizations of length n: one list per realization.
+
+    Realization i is derived from (seed, i) alone, so the same index gives
+    the same sequence for any ensemble size. Each realization is
+    standardized to exact zero mean and unit population std. A realization
+    may have fewer modes than a stage asks for; iceemd adds no noise there.
+    """
     if n < 4:
         raise InvalidSignalError(f"noise bank needs n >= 4, got {n}")
-    cached = [
+    return [
         emd(Signal(_realization(n, cfg.seed, i), sample_rate_hz=1.0),
             max_modes=cfg.max_modes).imfs
         for i in range(cfg.ensemble_size)
     ]
-    return NoiseBank(cached_modes=cached, n=n)
 
 
 def _ensemble_mean_local_mean(base: np.ndarray, scaled_noise: list[np.ndarray]) -> np.ndarray:
@@ -129,14 +114,12 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     bank = generate_noise_bank(x.size, cfg)
     for k in range(1, cfg.max_modes + 1):
         beta = cfg.epsilon0 * float(residue.std())
-        if k == 1:
-            scaled = []
-            for i in range(cfg.ensemble_size):
-                e1 = bank.mode(i, 1)
-                sd = float(e1.std())
-                scaled.append(beta * e1 / sd if sd > 0 else np.zeros_like(e1))
-        else:
-            scaled = [beta * bank.mode(i, k) for i in range(cfg.ensemble_size)]
+        scaled = [
+            np.zeros(x.size) if k > len(modes)
+            else beta * modes[0] / float(modes[0].std()) if k == 1
+            else beta * modes[k - 1]
+            for modes in bank
+        ]
         next_residue = _ensemble_mean_local_mean(residue, scaled)
         imfs.append(residue - next_residue)
         residue = next_residue

@@ -125,17 +125,12 @@ def read_signal_csv(path) -> Signal:
     data = _read_rows(path, body, n_columns)
     amplitudes = data[:, -1].copy()
 
-    if "n_samples" in meta:
-        lineno, value = meta["n_samples"]
-        try:
-            n_samples = int(value)
-        except ValueError:
-            raise SignalFormatError(f"{path}: n_samples must be an integer", line=lineno) from None
-        if n_samples != amplitudes.size:
-            raise SignalFormatError(
-                f"{path}: header says n_samples={n_samples}, file has {amplitudes.size}",
-                line=lineno,
-            )
+    n_samples = _header_number(path, meta, "n_samples")
+    if n_samples is not None and n_samples != amplitudes.size:
+        raise SignalFormatError(
+            f"{path}: header says n_samples={_fmt(n_samples)}, file has {amplitudes.size}",
+            line=meta["n_samples"][0],
+        )
     if n_columns == 2:
         dt = np.diff(data[:, 0])
         interval = 1.0 / rate_hz

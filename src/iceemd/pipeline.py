@@ -48,13 +48,14 @@ class PipelineConfig:
 class DenoiseResult:
     """Everything a pipeline run produced.
 
-    imfs_denoised holds (index, before, after) for exactly the flagged
-    modes; output sums the processed modes and the residue.
+    decomposition_denoised holds the modes after gating (denoised where
+    flagged, the raw arrays themselves elsewhere), the raw residue and the
+    raw noise_floor; output is its reconstruction.
     """
 
     decomposition_raw: Decomposition
     apen_report: ApEnReport
-    imfs_denoised: list[tuple[int, np.ndarray, np.ndarray]]
+    decomposition_denoised: Decomposition
     output: Signal
 
     @property
@@ -64,10 +65,7 @@ class DenoiseResult:
 
     def processed_imfs(self) -> list[np.ndarray]:
         """IMFs after gating: denoised where flagged, original elsewhere."""
-        replaced = {k: after for k, _, after in self.imfs_denoised}
-        return [
-            replaced.get(k, imf) for k, imf in enumerate(self.decomposition_raw.imfs)
-        ]
+        return list(self.decomposition_denoised.imfs)
 
 
 def _feasible_levels(n: int, requested: int) -> int:
@@ -91,19 +89,17 @@ def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> Denoise
     """
     dec = iceemd(signal, cfg.ensemble)
     report = apen_per_imf(dec, cfg.apen, cfg.apen_threshold)
-    denoised: list[tuple[int, np.ndarray, np.ndarray]] = []
+    # every mode is as long as the residue; entropy needs n >= 10, so one
+    # level (n >= 8) is always feasible
+    levels = _feasible_levels(dec.residue.size, cfg.denoise.levels)
+    denoise = replace(cfg.denoise, levels=levels)
     processed = list(dec.imfs)
     for k in report.flagged:
-        before = dec.imfs[k]
-        # entropy needs n >= 10, so one level (n >= 8) is always feasible
-        levels = _feasible_levels(before.size, cfg.denoise.levels)
-        after = wavelet_denoise(before, replace(cfg.denoise, levels=levels))
-        processed[k] = after
-        denoised.append((k, before, after))
-    output = Decomposition(processed, dec.residue).reconstruct()
+        processed[k] = wavelet_denoise(processed[k], denoise)
+    denoised = Decomposition(processed, dec.residue, dec.noise_floor)
     return DenoiseResult(
         decomposition_raw=dec,
         apen_report=report,
-        imfs_denoised=denoised,
-        output=signal.with_samples(output),
+        decomposition_denoised=denoised,
+        output=signal.with_samples(denoised.reconstruct()),
     )

@@ -110,19 +110,27 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     """Add seeded Gaussian noise scaled so the realized SNR hits the target.
 
     The noise is rescaled against its own realized energy, so the measured
-    SNR equals target_snr_db to machine precision.
+    SNR equals target_snr_db to machine precision. A target whose noise
+    scale is not a finite positive number (a non-finite one, or one so
+    extreme that 10 ** (target / 10) overflows or the scale underflows to
+    0) is refused.
     """
-    if not math.isfinite(target_snr_db):
-        raise InvalidSignalError("target SNR must be finite")
     x = as_float_array(signal.samples)
     signal_energy = float(np.dot(x, x))
-    if signal_energy == 0.0:
-        raise InvalidSignalError("cannot set an SNR against a zero-energy signal")
+    if not 0.0 < signal_energy < math.inf:
+        raise InvalidSignalError(f"cannot set an SNR against a signal of energy {signal_energy}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(x.size)
     noise_energy = float(np.dot(noise, noise))
-    target_energy = signal_energy / 10.0 ** (target_snr_db / 10.0)
-    scale = math.sqrt(target_energy / noise_energy)
+    try:
+        target_energy = signal_energy / 10.0 ** (target_snr_db / 10.0)
+        scale = math.sqrt(target_energy / noise_energy)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidConfigError(
+            f"snr_db={target_snr_db} gives no finite, positive noise scale"
+        )
     return signal.with_samples(x + scale * noise)
 
 

@@ -177,6 +177,7 @@ _SCALING_FILTERS: dict[str, tuple[float, ...]] = {
 
 SUPPORTED_WAVELETS = tuple(sorted(_SCALING_FILTERS))
 EXTENSION_MODES = ("symmetric", "periodic")
+SIGMA_ESTIMATORS = ("mad_finest", "signal_std")
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ class DenoiseConfig:
             raise InvalidConfigError(f"unknown wavelet {self.wavelet!r}")
         if self.levels < 1:
             raise InvalidConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.sigma_estimator not in ("mad_finest", "signal_std"):
+        if self.sigma_estimator not in SIGMA_ESTIMATORS:
             raise InvalidConfigError(f"unknown sigma_estimator {self.sigma_estimator!r}")
         if self.extension_mode not in EXTENSION_MODES:
             raise InvalidConfigError(f"unknown extension_mode {self.extension_mode!r}")

@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from iceemd import synth_signal
+from iceemd import ApEnConfig, EnsembleConfig, PipelineConfig, synth_signal
 from iceemd.cli import run_cli
 from iceemd.io import read_report, read_signal_csv, write_signal_csv
 
@@ -103,6 +104,38 @@ class TestDenoise:
         sig_path = tmp_path / "sig.csv"
         run(["synth", "-o", sig_path])
         assert run(["denoise", sig_path, "-o", tmp_path / "out.csv"]) == 1
+
+
+class TestDefaults:
+    """A flag left out takes the config type's default, and the report
+    echoes exactly the config the run used."""
+
+    @pytest.fixture
+    def short_signal(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        assert run(["synth", "--duration", 0.2, "--snr-db", 5, "--seed", 1, "-o", path]) == 0
+        return path
+
+    def test_denoise_echoes_pipeline_defaults(self, tmp_path, short_signal):
+        rep_path = tmp_path / "rep.json"
+        argv = ["denoise", short_signal, "--seed", 5, "-o", tmp_path / "out.csv"]
+        assert run([*argv, "--report", rep_path]) == 0
+        echo = read_report(rep_path)["config_echo"]
+        expected = asdict(PipelineConfig(ensemble=EnsembleConfig(seed=5)))
+        assert list(echo) == ["input", "reference", *expected, "sample_rate_hz"]
+        assert {key: echo[key] for key in expected} == expected
+
+    def test_decompose_echoes_ensemble_defaults(self, tmp_path, short_signal):
+        rep_path = tmp_path / "rep.json"
+        argv = ["decompose", short_signal, "--method", "iceemd", "--seed", 6]
+        assert run([*argv, "-o", tmp_path / "dec.csv", "--report", rep_path]) == 0
+        assert read_report(rep_path)["config_echo"]["ensemble"] == asdict(EnsembleConfig(seed=6))
+
+    def test_apen_echoes_apen_defaults(self, tmp_path, short_signal):
+        dec_path, rep_path = tmp_path / "dec.csv", tmp_path / "apen.json"
+        assert run(["decompose", short_signal, "--method", "emd", "-o", dec_path]) == 0
+        assert run(["apen", dec_path, "-o", rep_path]) == 0
+        assert read_report(rep_path)["config_echo"]["apen"] == asdict(ApEnConfig())
 
 
 class TestMetrics:
@@ -225,6 +258,9 @@ class TestNonFiniteFlags:
         ("synth", ["--snr-db", "inf", "--seed", "1"], "snr_db"),
         ("bench", ["--seeds", "1", "--snr-db", "nan"], "snr_db"),
         ("bench", ["--seeds", "1", "--snr-db", "inf"], "snr_db"),
+        ("synth", ["--snr-db=1e308", "--seed", "1"], "snr_db"),
+        ("synth", ["--snr-db=-1e308", "--seed", "1"], "snr_db"),
+        ("bench", ["--seeds", "1", "--snr-db=1e308"], "snr_db"),
     ], ids=[
         "synth-fs-inf", "synth-duration-inf", "synth-fs-nan", "synth-negative-grid",
         "synth-grid-overflow", "denoise-epsilon0-inf", "denoise-epsilon0-nan",
@@ -232,6 +268,7 @@ class TestNonFiniteFlags:
         "apen-tolerance-factor-negative", "apen-tolerance-factor-nan",
         "apen-tolerance-factor-inf", "apen-threshold-nan", "synth-snr-db-nan",
         "synth-snr-db-inf", "bench-snr-db-nan", "bench-snr-db-inf",
+        "synth-snr-db-1e308", "synth-snr-db-minus-1e308", "bench-snr-db-1e308",
     ])
     def test_config_error_exit_1(self, files, tmp_path, capsys, command, flags, names):
         sig, dec = files

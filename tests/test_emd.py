@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from iceemd import (
     EnsembleConfig,
+    InvalidConfigError,
     InvalidSignalError,
     NotEnoughExtremaError,
     SiftConfig,
@@ -289,7 +290,7 @@ class TestOperators:
         bank = generate_noise_bank(
             tone.size, EnsembleConfig(ensemble_size=members, seed=seed, max_modes=2)
         )
-        noise = [0.2 * tone.std() * bank.mode(i, 2) for i in range(members)]
+        noise = [0.2 * tone.std() * modes[1] for modes in bank]
         mean = np.mean([local_mean_operator(tone + w) for w in noise], axis=0)
         amplitude = max(np.abs(w).max() for w in noise)
         assert abs(mean[0] - tone[0]) <= amplitude
@@ -311,3 +312,18 @@ class TestSiftConfig:
             SiftConfig(max_sift_iterations=0)
         with pytest.raises(ValueError):
             SiftConfig(boundary_extrema_count=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sd_threshold", float("nan")),
+        ("sd_threshold", float("inf")),
+        ("sd_threshold", 0.0),
+        ("max_sift_iterations", 0),
+        ("boundary_extrema_count", 0),
+    ])
+    def test_config_error_names_field(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            SiftConfig(**{field: value})
+
+    def test_max_modes_below_one_is_config_error(self):
+        with pytest.raises(InvalidConfigError, match="max_modes"):
+            emd(Signal(sine(20), FS), max_modes=0)

@@ -10,6 +10,7 @@ from iceemd import (
     extract_imf,
     generate_noise_bank,
     iceemd,
+    local_mean_operator,
 )
 from iceemd.ensemble import _realization
 from iceemd.signals import dominant_frequency, synth_signal
@@ -29,7 +30,7 @@ class TestNoiseBank:
         b = generate_noise_bank(1024, cfg)
         for i in range(cfg.ensemble_size):
             assert np.array_equal(_realization(1024, 7, i), _realization(1024, 7, i))
-        for ma, mb in zip(a.cached_modes, b.cached_modes):
+        for ma, mb in zip(a, b):
             assert len(ma) == len(mb)
             for ia, ib in zip(ma, mb):
                 assert np.array_equal(ia, ib)
@@ -37,8 +38,8 @@ class TestNoiseBank:
     def test_realization_depends_only_on_seed_and_index(self):
         big = generate_noise_bank(1024, EnsembleConfig(ensemble_size=16, seed=7))
         small = generate_noise_bank(1024, EnsembleConfig(ensemble_size=14, seed=7))
-        assert len(big.cached_modes[13]) == len(small.cached_modes[13])
-        for mb, ms in zip(big.cached_modes[13], small.cached_modes[13]):
+        assert len(big[13]) == len(small[13])
+        for mb, ms in zip(big[13], small[13]):
             assert np.array_equal(mb, ms)
 
     def test_standardization(self):
@@ -51,21 +52,14 @@ class TestNoiseBank:
     def test_modes_rebuild_realization(self):
         # the cached modes are the EMD of the standardized realization
         bank = generate_noise_bank(256, EnsembleConfig(ensemble_size=3, seed=5, max_modes=1))
-        for i, modes in enumerate(bank.cached_modes):
+        for i, modes in enumerate(bank):
             imf, _ = extract_imf(_realization(256, 5, i))
             assert np.array_equal(modes[0], imf)
 
-    def test_mode_fallback_is_zero(self):
-        bank = generate_noise_bank(256, EnsembleConfig(ensemble_size=1, seed=0))
-        k = len(bank.cached_modes[0]) + 3
-        assert np.array_equal(bank.mode(0, k), np.zeros(256))
-
-    def test_mode_of_realization_without_modes_is_zero(self):
+    def test_four_samples_have_no_modes(self):
         # four samples never hold the three extrema a mode needs
         bank = generate_noise_bank(4, EnsembleConfig(ensemble_size=3, seed=0))
-        assert bank.cached_modes == [[], [], []]
-        for i in range(3):
-            assert np.array_equal(bank.mode(i, 1), np.zeros(4))
+        assert bank == [[], [], []]
 
     def test_too_short(self):
         with pytest.raises(InvalidSignalError):
@@ -95,6 +89,23 @@ class TestIceemd:
         for ia, ib in zip(a.imfs, b.imfs):
             assert np.array_equal(ia, ib)
         assert np.array_equal(a.residue, b.residue)
+
+    def test_stage_beyond_bank_modes_adds_no_noise(self):
+        # at this seed and length the signal yields 4 IMFs but the single
+        # noise realization only 3 modes, so stage 4 perturbs nothing and its
+        # IMF is the residue minus its own local mean
+        n, seed = 64, 2
+        y = np.random.default_rng(seed).standard_normal(n)
+        cfg = EnsembleConfig(ensemble_size=1, seed=seed)
+        assert len(generate_noise_bank(n, cfg)[0]) == 3
+        dec = iceemd(Signal(y, FS), cfg)
+        assert dec.n_imfs == 4
+        # stopping after stage 3 leaves the residue stage 4 starts from
+        first3 = iceemd(Signal(y, FS), EnsembleConfig(ensemble_size=1, seed=seed, max_modes=3))
+        assert first3.n_imfs == 3
+        assert all(np.array_equal(a, b) for a, b in zip(first3.imfs, dec.imfs))
+        r = first3.residue
+        assert np.array_equal(dec.imfs[3], r - local_mean_operator(r))
 
     def test_degenerate_noise_matches_plain_emd(self):
         # off-grid frequencies and phases: no exact sample plateaus whose

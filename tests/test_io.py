@@ -206,6 +206,14 @@ class TestHeaderAndRows:
             read_decomposition_csv(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("n_samples", ["abc", "-3", "nan"])
+    def test_bad_n_samples_rejected_with_line(self, tmp_path, n_samples):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"# sample_rate_hz=1000\n# n_samples={n_samples}\n0\n1\n0\n")
+        with pytest.raises(SignalFormatError, match="n_samples") as err:
+            read_signal_csv(path)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_decomposition_non_finite_row_rejected(self, tmp_path, value):
         path = tmp_path / "dec.csv"

@@ -23,6 +23,22 @@ def fast_config(seed=0, **kwargs):
     return PipelineConfig(ensemble=EnsembleConfig(ensemble_size=6, seed=seed), **kwargs)
 
 
+def assert_gated(result):
+    """The denoised decomposition holds the raw array of every unflagged
+    mode, a changed array for every flagged one, and the raw residue and
+    noise floor; the output is its reconstruction."""
+    raw, denoised = result.decomposition_raw, result.decomposition_denoised
+    assert denoised.n_imfs == raw.n_imfs
+    for k, (before, after) in enumerate(zip(raw.imfs, denoised.imfs)):
+        if k in result.denoised_indices:
+            assert not np.array_equal(after, before)
+        else:
+            assert after is before
+    assert denoised.residue is raw.residue
+    assert denoised.noise_floor == raw.noise_floor
+    assert np.array_equal(result.output.samples, denoised.reconstruct())
+
+
 class TestReconstruct:
     def test_empty_sum_is_residue(self):
         r = np.arange(8.0)
@@ -48,7 +64,7 @@ class TestGate:
         sine = Signal(np.sin(2 * np.pi * 20 * t), FS)
         result = iceemd_de(sine, PipelineConfig(ensemble=EnsembleConfig(seed=3)))
         assert result.denoised_indices == []
-        assert result.imfs_denoised == []
+        assert_gated(result)
         err = np.abs(result.output.samples - sine.samples).max()
         assert err <= 1e-8 * np.abs(sine.samples).max()
 
@@ -68,7 +84,7 @@ class TestGate:
         report = result.apen_report
         expected = [k for k, v in report.per_imf if v > report.threshold]
         assert result.denoised_indices == expected
-        assert [k for k, _, _ in result.imfs_denoised] == expected
+        assert_gated(result)
 
     def test_noisy_benchmark_flags_first_two_modes(self):
         noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
@@ -113,7 +129,7 @@ class TestSeedSweep:
     def test_clean_input_passes_through(self, clean_run, name, seed):
         sig, result = clean_run(name, seed)
         assert result.denoised_indices == []
-        assert result.imfs_denoised == []
+        assert_gated(result)
         err = np.abs(result.output.samples - sig.samples).max()
         assert err <= 1e-8 * np.abs(sig.samples).max()
 

@@ -137,12 +137,24 @@ class TestAddNoise:
         assert np.abs(noisy.samples - sig.samples).max() < 2.5e-3 * np.abs(sig.samples).max()
 
     def test_infinite_target_rejected(self):
-        with pytest.raises(InvalidSignalError):
+        with pytest.raises(InvalidConfigError):
             add_noise_snr(synth_signal(), math.inf, seed=0)
+
+    @pytest.mark.parametrize("target", [-math.inf, math.nan, 1e308, -1e308, 3100.0])
+    def test_target_without_finite_positive_scale_rejected(self, target):
+        # 10 ** (target / 10) overflows (1e308, 3100) or reaches 0 (-1e308)
+        with pytest.raises(InvalidConfigError, match="snr_db"):
+            add_noise_snr(synth_signal(), target, seed=0)
 
     def test_zero_energy_rejected(self):
         with pytest.raises(InvalidSignalError):
             add_noise_snr(Signal(np.zeros(100), 1000.0), 5.0, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_overflowing_energy_rejected(self):
+        # the signal's energy, not the target, leaves no finite noise scale
+        with pytest.raises(InvalidSignalError, match="energy"):
+            add_noise_snr(Signal(np.full(100, 1e160), 1000.0), 5.0, seed=0)
 
 
 class TestSpectrum:
