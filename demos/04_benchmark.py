@@ -10,7 +10,7 @@ from iceemd.benchmark import run_benchmark
 
 N_SEEDS = 5
 
-table = run_benchmark(n_seeds=N_SEEDS, input_snr_db=5.0)
+table = run_benchmark(n_seeds=N_SEEDS, input_snr_db=5.0, base_seed=0)
 print(f"{N_SEEDS} seeds, 5 dB input\n")
 print(f"{'method':12s} {'SNR (dB)':>16s} {'RMSE':>16s}")
 for method in ("original", "iceemd_de", "wavelet"):

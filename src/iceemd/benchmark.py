@@ -20,15 +20,11 @@ from .wavelet import wavelet_denoise
 ENSEMBLE_SEED_OFFSET = 1_000_003
 
 
-def run_benchmark(
-    n_seeds: int = 10,
-    input_snr_db: float = 5.0,
-    base_seed: int = 0,
-    synth: SynthConfig = SynthConfig(),
-    pipeline: PipelineConfig = PipelineConfig(),
-) -> dict:
-    """Run the comparison over seeds base_seed..base_seed+n_seeds-1."""
-    clean = synth_signal(synth)
+def run_benchmark(n_seeds: int, input_snr_db: float, base_seed: int) -> dict:
+    """Run the comparison over seeds base_seed..base_seed+n_seeds-1, with
+    the default SynthConfig and PipelineConfig."""
+    clean = synth_signal(SynthConfig())
+    pipeline = PipelineConfig()
     scores: dict[str, list[tuple[float, float]]] = {
         "original": [], "iceemd_de": [], "wavelet": []
     }

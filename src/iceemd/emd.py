@@ -15,6 +15,9 @@ from scipy.interpolate import CubicSpline
 from .errors import InvalidConfigError, InvalidSignalError, NotEnoughExtremaError
 from .types import Decomposition, Signal, as_float_array
 
+# Mode cap of emd, and of EnsembleConfig.max_modes
+DEFAULT_MAX_MODES = 12
+
 
 @dataclass(frozen=True)
 class SiftConfig:
@@ -210,7 +213,9 @@ def _decomposable(y: np.ndarray) -> bool:
     return maxima.size + minima.size >= 3
 
 
-def emd(signal: Signal, cfg: SiftConfig = SiftConfig(), max_modes: int = 12) -> Decomposition:
+def emd(
+    signal: Signal, cfg: SiftConfig = SiftConfig(), max_modes: int = DEFAULT_MAX_MODES
+) -> Decomposition:
     """Empirical mode decomposition of `signal`.
 
     Extracts IMFs from successive residues until the residue has fewer

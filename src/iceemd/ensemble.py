@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import _decomposable, emd, local_mean_operator
+from .emd import DEFAULT_MAX_MODES, _decomposable, emd, local_mean_operator
 from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, Signal, as_float_array
 
@@ -29,7 +29,7 @@ class EnsembleConfig:
     ensemble_size: int = 50
     epsilon0: float = 0.2
     seed: int = 0
-    max_modes: int = 12
+    max_modes: int = DEFAULT_MAX_MODES
 
     def __post_init__(self):
         if self.ensemble_size < 1:

@@ -16,7 +16,7 @@ from .ensemble import EnsembleConfig, iceemd
 from .entropy import ApEnConfig, ApEnReport, apen_per_imf
 from .errors import InvalidConfigError
 from .types import Decomposition, Signal
-from .wavelet import DenoiseConfig, wavelet_denoise
+from .wavelet import DenoiseConfig, _max_levels, wavelet_denoise
 
 # Gate value between the entropies of tone-carrying and noise-dominated
 # modes: midpoint (0.868) between the largest entropy among the clean
@@ -68,14 +68,6 @@ class DenoiseResult:
         return list(self.decomposition_denoised.imfs)
 
 
-def _feasible_levels(n: int, requested: int) -> int:
-    """Largest level count <= requested that n samples can support."""
-    levels = requested
-    while levels > 1 and n < 2**levels * 4:
-        levels -= 1
-    return levels
-
-
 def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> DenoiseResult:
     """Run the full pipeline on `signal`.
 
@@ -83,15 +75,15 @@ def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> Denoise
     denoise the modes above cfg.apen_threshold (the residue is a trend and
     is never denoised), and sum everything back into the output signal.
     Modes too short for the configured level count fall back to as few as
-    one level instead of failing. Each mode's entropy tolerance is floored
-    at the decomposition's noise_floor (see ensemble.iceemd), so a clean
-    signal passes through unchanged.
+    one level instead of failing, with every wavelet. Each mode's entropy
+    tolerance is floored at the decomposition's noise_floor (see
+    ensemble.iceemd), so a clean signal passes through unchanged.
     """
     dec = iceemd(signal, cfg.ensemble)
     report = apen_per_imf(dec, cfg.apen, cfg.apen_threshold)
     # every mode is as long as the residue; entropy needs n >= 10, so one
-    # level (n >= 8) is always feasible
-    levels = _feasible_levels(dec.residue.size, cfg.denoise.levels)
+    # level (n >= 8) fits every flagged mode
+    levels = max(1, min(cfg.denoise.levels, _max_levels(dec.residue.size)))
     denoise = replace(cfg.denoise, levels=levels)
     processed = list(dec.imfs)
     for k in report.flagged:

@@ -29,6 +29,16 @@ class SynthConfig:
             raise InvalidConfigError("fs * duration overflows")
 
 
+# Bolt-echo test signal (synth_echo_signal): sampling, excitation decay,
+# carrier, and the echo's peak time, amplitude and Gaussian width
+ECHO_SAMPLE_RATE_HZ = 250_000.0
+ECHO_DECAY_S = 0.15e-3
+ECHO_CARRIER_HZ = 20_000.0
+ECHO_TIME_S = 1.1e-3
+ECHO_AMPLITUDE = 0.2
+ECHO_WIDTH_S = 0.03e-3
+
+
 @dataclass
 class Spectrum:
     """One-sided magnitude spectrum, DC through Nyquist."""
@@ -51,30 +61,22 @@ def synth_signal(cfg: SynthConfig = SynthConfig()) -> Signal:
     return Signal(tone + np.where(gate, burst, 0.0), cfg.sample_rate_hz)
 
 
-def synth_echo_signal(
-    sample_rate_hz: float = 250_000.0,
-    n: int = 980,
-    echo_time_s: float = 1.1e-3,
-    carrier_hz: float = 20_000.0,
-    echo_amplitude: float = 0.2,
-    decay_s: float = 0.15e-3,
-    echo_width_s: float = 0.03e-3,
-) -> Signal:
+def synth_echo_signal(n: int = 980) -> Signal:
     """Bolt-like test signal: a decaying excitation plus a delayed echo.
 
     The excitation is an exponentially damped carrier starting at t = 0;
     the echo is a Gaussian-windowed carrier burst whose envelope peaks
-    exactly at echo_time_s, standing in for an end-of-anchor reflection.
+    exactly at ECHO_TIME_S, standing in for an end-of-anchor reflection.
     The envelope is narrow enough that the rectified peak stays on the
     central carrier lobe after decomposition and denoising.
     """
-    t = np.arange(n) / sample_rate_hz
-    excitation = np.exp(-t / decay_s) * np.cos(2.0 * np.pi * carrier_hz * t)
-    u = t - echo_time_s
-    echo = echo_amplitude * np.exp(-(u**2) / (2.0 * echo_width_s**2)) * np.cos(
-        2.0 * np.pi * carrier_hz * u
+    t = np.arange(n) / ECHO_SAMPLE_RATE_HZ
+    excitation = np.exp(-t / ECHO_DECAY_S) * np.cos(2.0 * np.pi * ECHO_CARRIER_HZ * t)
+    u = t - ECHO_TIME_S
+    echo = ECHO_AMPLITUDE * np.exp(-(u**2) / (2.0 * ECHO_WIDTH_S**2)) * np.cos(
+        2.0 * np.pi * ECHO_CARRIER_HZ * u
     )
-    return Signal(excitation + echo, sample_rate_hz)
+    return Signal(excitation + echo, ECHO_SAMPLE_RATE_HZ)
 
 
 def snr(reference: Signal, estimate: Signal) -> float:

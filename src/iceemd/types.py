@@ -43,10 +43,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
     def times(self) -> np.ndarray:
         """Sample instants t_i = i / fs."""
         return np.arange(self.samples.size) / self.sample_rate_hz

@@ -4,6 +4,9 @@ Orthonormal two-channel bank: analyze by extend-filter-downsample,
 synthesize by upsample-filter-sum. Both extension modes reconstruct any
 input exactly (within float accumulation); denoising shrinks every detail
 band by the universal threshold and leaves the approximation alone.
+n samples support up to _max_levels(n) levels with every wavelet, even
+where a band is shorter than the filter, so iceemd_de's fallback to fewer
+levels holds for every wavelet.
 """
 from __future__ import annotations
 
@@ -253,18 +256,14 @@ class DenoiseConfig:
 
 
 def _extend(x: np.ndarray, m: int, mode: str) -> np.ndarray:
-    if mode == "symmetric":
-        if m > x.size:
-            raise InvalidSignalError("signal shorter than the filter")
-        # half-point: ... x1 x0 | x0 x1 ... xn-1 | xn-1 xn-2 ...
-        left = x[:m][::-1]
-        right = x[-m:][::-1]
-        return np.concatenate([left, x, right])
-    # periodic wrap (x has even length here)
-    reps = -(-m // x.size)
-    tiled = np.tile(x, 2 * reps + 1)
-    center = reps * x.size
-    return tiled[center - m: center + x.size + m]
+    """x continued by m samples past each end, for any m and any length.
+
+    Both modes extend periodically: periodic with period x, half-point
+    symmetric (... x1 x0 | x0 x1 ... xn-1 | xn-1 xn-2 ...) with period
+    [x, x reversed].
+    """
+    period = np.concatenate([x, x[::-1]]) if mode == "symmetric" else x
+    return np.take(period, np.arange(-m, x.size + m), mode="wrap")
 
 
 def _subband_length(n: int, filter_length: int, mode: str) -> int:
@@ -273,35 +272,36 @@ def _subband_length(n: int, filter_length: int, mode: str) -> int:
     return -(-(n + filter_length - 1) // 2)
 
 
+def _max_levels(n: int) -> int:
+    """Most levels n samples support: levels >= 1 need n >= 2**levels * 4."""
+    return (n // 8).bit_length()
+
+
 def _analyze_level(x: np.ndarray, spec: WaveletSpec, mode: str):
     L = spec.length
+    half = _subband_length(x.size, L, mode)
     if mode == "periodic" and x.size % 2:
         x = np.concatenate([x, x[-1:]])  # repeat last sample to even length
     ext = _extend(x, L - 1, mode)
     lo = np.convolve(ext, spec.dec_lo, mode="valid")[::2]
     hi = np.convolve(ext, spec.dec_hi, mode="valid")[::2]
-    if mode == "periodic":
-        half = x.size // 2
-        lo, hi = lo[:half], hi[:half]
-    return lo, hi
+    return lo[:half], hi[:half]
 
 
 def _synthesize_level(
     approx: np.ndarray, detail: np.ndarray, spec: WaveletSpec, mode: str, out_length: int
 ) -> np.ndarray:
+    """Upsample both bands and keep out_length samples of their valid
+    convolutions with the synthesis filters. A periodic band wraps past its
+    end; the samples kept never read a wrap before its start."""
     L = spec.length
-    up_a = np.zeros(2 * approx.size)
-    up_a[::2] = approx
-    up_d = np.zeros(2 * detail.size)
-    up_d[::2] = detail
+    up = np.zeros((2, 2 * approx.size))
+    up[:, ::2] = approx, detail
     if mode == "periodic":
-        rec = (
-            np.convolve(_extend(up_a, L - 1, mode), spec.rec_lo, mode="valid")
-            + np.convolve(_extend(up_d, L - 1, mode), spec.rec_hi, mode="valid")
-        )
-    else:
-        rec = np.convolve(up_a, spec.rec_lo) + np.convolve(up_d, spec.rec_hi)
-    return rec[L - 1: L - 1 + out_length]
+        up = up.take(np.arange(up.shape[1] + L - 1), axis=1, mode="wrap")
+    lo = np.convolve(up[0], spec.rec_lo, mode="valid")
+    hi = np.convolve(up[1], spec.rec_hi, mode="valid")
+    return lo[:out_length] + hi[:out_length]
 
 
 def _level_lengths(n: int, levels: int, filter_length: int, mode: str) -> list[int]:
@@ -314,13 +314,14 @@ def _level_lengths(n: int, levels: int, filter_length: int, mode: str) -> list[i
 def dwt(signal, cfg: DenoiseConfig = DenoiseConfig()) -> WaveletCoefficients:
     """Multi-level analysis: filter and downsample cfg.levels times.
 
-    Requires at least 2**levels * 4 samples so every stage keeps enough
-    support for the filters.
+    Requires at least 2**levels * 4 samples (see _max_levels); a band may
+    be shorter than the filter.
     """
     x = as_float_array(signal)
-    if x.size < 2**cfg.levels * 4:
+    if cfg.levels > _max_levels(x.size):
         raise InvalidConfigError(
-            f"{cfg.levels} levels need at least {2**cfg.levels * 4} samples, got {x.size}"
+            f"{x.size} samples support a level count of at most "
+            f"{_max_levels(x.size)}, got {cfg.levels}"
         )
     spec = wavelet_spec(cfg.wavelet)
     details: list[np.ndarray] = []
@@ -352,12 +353,7 @@ def idwt(coeffs: WaveletCoefficients, cfg: DenoiseConfig | None = None) -> np.nd
                 f"level {level} bands have length {approx.size}/{detail.size}, "
                 f"expected {lengths[level]}"
             )
-        target = lengths[level - 1]
-        if mode == "periodic" and target % 2:
-            recon = _synthesize_level(approx, detail, spec, mode, target + 1)[:target]
-        else:
-            recon = _synthesize_level(approx, detail, spec, mode, target)
-        approx = recon
+        approx = _synthesize_level(approx, detail, spec, mode, lengths[level - 1])
     return approx
 
 

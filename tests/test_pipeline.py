@@ -4,6 +4,7 @@ import pytest
 from iceemd import (
     DEFAULT_APEN_THRESHOLD,
     Decomposition,
+    DenoiseConfig,
     EnsembleConfig,
     InvalidSignalError,
     PipelineConfig,
@@ -199,6 +200,30 @@ class TestShortSignals:
         sig = Signal(rng.standard_normal(48), FS)
         result = iceemd_de(sig, fast_config(seed=13, apen_threshold=-1.0))
         assert result.denoised_indices == list(range(result.decomposition_raw.n_imfs))
+
+    @pytest.mark.parametrize("wavelet", ["db8", "sym8"])
+    def test_modes_shorter_than_the_filter(self, wavelet):
+        # 12 samples are fewer than the 16 taps; one level must still run
+        sig = Signal(np.random.default_rng(14).standard_normal(12), FS)
+        cfg = fast_config(seed=15, apen_threshold=-1.0, denoise=DenoiseConfig(wavelet=wavelet))
+        result = iceemd_de(sig, cfg)
+        assert result.decomposition_raw.n_imfs >= 1
+        assert result.denoised_indices == list(range(result.decomposition_raw.n_imfs))
+        assert result.output.samples.size == 12
+        assert np.all(np.isfinite(result.output.samples))
+
+
+def test_huge_level_count_falls_back_to_the_most_supported():
+    # 1,000 samples support 7 levels; a request of 10**9 must not build
+    # 2**levels and must give the 7-level run bit for bit
+    noisy = add_noise_snr(synth_signal(), 5.0, seed=16)
+    ensemble = EnsembleConfig(ensemble_size=2, seed=17)
+    runs = [
+        iceemd_de(noisy, PipelineConfig(ensemble=ensemble, denoise=DenoiseConfig(levels=levels)))
+        for levels in (10**9, 7)
+    ]
+    assert runs[0].denoised_indices
+    assert np.array_equal(runs[0].output.samples, runs[1].output.samples)
 
 
 def test_default_threshold_value():

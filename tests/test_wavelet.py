@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iceemd import (
     DenoiseConfig,
@@ -48,6 +51,25 @@ class TestDwtIdwt:
         assert rec.size == n
         assert np.abs(rec - x).max() <= 1e-10 * np.abs(x).max()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_round_trip_any_length(self, data):
+        # any length from 8 up, even one shorter than the filter, and every
+        # level count it supports (n >= 2**levels * 4)
+        n = data.draw(st.integers(8, 300), label="n")
+        x = data.draw(
+            arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
+            label="x",
+        )
+        cfg = DenoiseConfig(
+            wavelet=data.draw(st.sampled_from(SUPPORTED_WAVELETS), label="wavelet"),
+            levels=data.draw(st.integers(1, math.floor(math.log2(n / 4))), label="levels"),
+            extension_mode=data.draw(st.sampled_from(EXTENSION_MODES), label="mode"),
+        )
+        rec = idwt(dwt(x, cfg), cfg)
+        assert rec.size == n
+        assert np.abs(rec - x).max() <= 1e-10 * np.abs(x).max()
+
     def test_impulse_matches_convolution(self):
         # one level of analysis must equal extend-convolve-downsample
         x = np.zeros(64)
@@ -80,6 +102,10 @@ class TestDwtIdwt:
     def test_too_short_for_levels(self):
         with pytest.raises(InvalidConfigError):
             dwt(np.zeros(60), DenoiseConfig(levels=4))
+        # a huge level count is refused by the same rule, naming the most
+        # that 60 samples support
+        with pytest.raises(InvalidConfigError, match="at most 3,"):
+            dwt(np.zeros(60), DenoiseConfig(levels=10**6))
 
     def test_energy_preserved_periodic(self):
         # orthonormal transform: coefficient energy equals signal energy
