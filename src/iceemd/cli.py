@@ -13,10 +13,10 @@ from dataclasses import asdict
 
 from . import __version__
 from .benchmark import ENSEMBLE_SEED_OFFSET, run_benchmark
-from .emd import SiftConfig, emd
+from .emd import emd
 from .ensemble import EnsembleConfig, iceemd
 from .entropy import ApEnConfig, apen_per_imf
-from .errors import IceemdError, InvalidConfigError, SignalFormatError
+from .errors import IceemdError, SignalFormatError
 from .io import (
     FORMAT_VERSION,
     read_decomposition_csv,
@@ -150,9 +150,8 @@ def _cmd_decompose(args) -> int:
         dec = iceemd(signal, cfg)
         config_echo = {"method": "iceemd", "ensemble": asdict(cfg)}
     else:
-        sift = SiftConfig()
-        dec = emd(signal, sift, max_modes=args.max_modes)
-        config_echo = {"method": "emd", "sift": asdict(sift), "max_modes": args.max_modes}
+        dec = emd(signal, max_modes=args.max_modes)
+        config_echo = {"method": "emd", "max_modes": args.max_modes}
     config_echo["input"] = args.input
     config_echo["sample_rate_hz"] = signal.sample_rate_hz
     write_decomposition_csv(dec, args.output, signal.sample_rate_hz, __version__)
@@ -259,7 +258,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
-    except (InvalidConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
     except SignalFormatError as exc:

@@ -6,7 +6,6 @@ M the ensemble recursion is built from (M(x) = x minus the first IMF of x).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,31 +17,31 @@ from .types import Decomposition, Signal, as_float_array
 # Mode cap of emd, and of EnsembleConfig.max_modes
 DEFAULT_MAX_MODES = 12
 
+# Cauchy-style stop: sifting ends once the normalized squared change
+# between successive iterates falls below this
+SD_THRESHOLD = 0.2
+
+# Extrema mirrored beyond each end before the envelope splines are fitted;
+# an end sample outside the first pair of extrema is itself a knot (see
+# mean_envelope)
+BOUNDARY_EXTREMA_COUNT = 2
+
 
 @dataclass(frozen=True)
 class SiftConfig:
-    """Sifting parameters.
+    """The cap on sift iterations per IMF.
 
-    sd_threshold is the Cauchy-style stop: sifting ends once the normalized
-    squared change between successive iterates falls below it.
-    boundary_extrema_count extrema are mirrored beyond each end before the
-    envelope splines are fitted; an end sample outside the first pair of
-    extrema is itself a knot (see mean_envelope).
+    The stop rule and the end mirroring are fixed: SD_THRESHOLD and
+    BOUNDARY_EXTREMA_COUNT.
     """
 
-    sd_threshold: float = 0.2
     max_sift_iterations: int = 100
-    boundary_extrema_count: int = 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.sd_threshold) and self.sd_threshold > 0):
+        if self.max_sift_iterations < 1:
             raise InvalidConfigError(
-                f"sd_threshold must be finite and > 0, got {self.sd_threshold}"
+                f"max_sift_iterations must be >= 1, got {self.max_sift_iterations}"
             )
-        for name in ("max_sift_iterations", "boundary_extrema_count"):
-            value = getattr(self, name)
-            if value < 1:
-                raise InvalidConfigError(f"{name} must be >= 1, got {value}")
 
 
 def find_extrema(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -60,9 +59,6 @@ def find_extrema(samples) -> tuple[np.ndarray, np.ndarray]:
     nonzero = slope != 0.0
     sgn = np.sign(slope[nonzero])
     idx = np.nonzero(nonzero)[0]
-    if sgn.size < 2:
-        return np.array([], dtype=int), np.array([], dtype=int)
-
     turn = np.diff(sgn)
     where = np.nonzero(turn)[0]
     # extremum spans from the end of the rising run to the start of the
@@ -75,7 +71,7 @@ def find_extrema(samples) -> tuple[np.ndarray, np.ndarray]:
     return maxima, minima
 
 
-def _end_knots(d_max, v_max, d_min, v_min, y_end, count: int):
+def _end_knots(d_max, v_max, d_min, v_min, y_end):
     """Envelope knots at one end, by the rule given in mean_envelope.
 
     d_max/d_min are the distances of the extrema nearest the end from it,
@@ -83,6 +79,7 @@ def _end_knots(d_max, v_max, d_min, v_min, y_end, count: int):
     of the upper, then the lower, envelope's added knots, offsets measured
     from the end (<= 0 lies beyond it) and nearest first.
     """
+    count = BOUNDARY_EXTREMA_COUNT
     max_first = d_max[0] < d_min[0]
     if max_first and y_end <= v_min[0]:
         # end sample below the first minimum: it is a lower-envelope knot
@@ -106,17 +103,17 @@ def _end_knots(d_max, v_max, d_min, v_min, y_end, count: int):
     return -d_max[:count], v_max[:count], -d_min[:count], v_min[:count]
 
 
-def _envelope_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray, count: int):
+def _envelope_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray):
     """Upper and lower envelope knots, the extrema plus their boundary images."""
     last = y.size - 1
-    near = count + 1
+    near = BOUNDARY_EXTREMA_COUNT + 1
     v_max, v_min = y[maxima], y[minima]
     lux, luy, llx, lly = _end_knots(
-        maxima[:near], v_max[:near], minima[:near], v_min[:near], y[0], count
+        maxima[:near], v_max[:near], minima[:near], v_min[:near], y[0]
     )
     rux, ruy, rlx, rly = _end_knots(
         last - maxima[::-1][:near], v_max[::-1][:near],
-        last - minima[::-1][:near], v_min[::-1][:near], y[last], count,
+        last - minima[::-1][:near], v_min[::-1][:near], y[last],
     )
     ux = np.concatenate([lux[::-1], maxima, last - rux])
     uy = np.concatenate([luy[::-1], v_max, ruy])
@@ -125,21 +122,21 @@ def _envelope_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray, count
     return ux, uy, lx, ly
 
 
-def mean_envelope(samples, maxima, minima, cfg: SiftConfig = SiftConfig()) -> np.ndarray:
+def mean_envelope(samples, maxima, minima) -> np.ndarray:
     """Half-sum of the upper and lower cubic-spline envelopes.
 
-    Natural end conditions; `cfg.boundary_extrema_count` extrema are
-    mirrored beyond each end before fitting so the splines never
-    extrapolate over the signal support. The mirror follows Rilling,
-    Flandrin & Goncalves (2003): when an end sample lies outside the first
-    pair of extrema (below the first minimum when a maximum comes first,
-    above the first maximum when a minimum does), the extrema are mirrored
-    about that end sample and it becomes a knot of the envelope it bounds,
-    taking the place of one mirrored extremum. Otherwise they are mirrored
-    about the first extremum, or about the end sample where the images
-    would not reach past it. An end sample outside the extrema thus bounds
-    its envelope itself instead of lying outside both envelopes, which
-    would make the sift subtract a spurious swing at the record end.
+    Natural end conditions; BOUNDARY_EXTREMA_COUNT extrema are mirrored
+    beyond each end before fitting so the splines never extrapolate over
+    the signal support. The mirror follows Rilling, Flandrin & Goncalves
+    (2003): when an end sample lies outside the first pair of extrema
+    (below the first minimum when a maximum comes first, above the first
+    maximum when a minimum does), the extrema are mirrored about that end
+    sample and it becomes a knot of the envelope it bounds, taking the
+    place of one mirrored extremum. Otherwise they are mirrored about the
+    first extremum, or about the end sample where the images would not
+    reach past it. An end sample outside the extrema thus bounds its
+    envelope itself instead of lying outside both envelopes, which would
+    make the sift subtract a spurious swing at the record end.
     """
     y = np.asarray(samples, dtype=np.float64)
     n = y.size
@@ -151,7 +148,7 @@ def mean_envelope(samples, maxima, minima, cfg: SiftConfig = SiftConfig()) -> np
             f"(got {maxima.size} maxima, {minima.size} minima)"
         )
     # each end adds at least one knot to each envelope, so both have >= 3
-    ux, uy, lx, ly = _envelope_knots(y, maxima, minima, cfg.boundary_extrema_count)
+    ux, uy, lx, ly = _envelope_knots(y, maxima, minima)
     grid = np.arange(n)
     upper = CubicSpline(ux, uy, bc_type="natural")(grid)
     lower = CubicSpline(lx, ly, bc_type="natural")(grid)
@@ -175,7 +172,7 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
 
     Iterates h <- h - mean_envelope(h); stops once the normalized squared
     change sum((h_prev - h)^2) / sum(h_prev^2) drops below
-    cfg.sd_threshold AND the iterate has the defining mode property
+    SD_THRESHOLD AND the iterate has the defining mode property
     (extrema and zero-crossing counts differing by at most one), or when
     the iteration cap is hit. Returns (imf, proto_residue) with
     proto_residue = samples - imf.
@@ -188,7 +185,7 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
     maxima, minima = find_extrema(h)
     for iteration in range(cfg.max_sift_iterations):
         try:
-            m = mean_envelope(h, maxima, minima, cfg)
+            m = mean_envelope(h, maxima, minima)
         except NotEnoughExtremaError:
             if iteration == 0:
                 raise
@@ -198,7 +195,7 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
             break
         h = h - m
         maxima, minima = find_extrema(h)
-        if float(np.dot(m, m)) / denom < cfg.sd_threshold:
+        if float(np.dot(m, m)) / denom < SD_THRESHOLD:
             if _is_imf_like(h, maxima.size + minima.size):
                 break
     return h, x - h
@@ -213,9 +210,7 @@ def _decomposable(y: np.ndarray) -> bool:
     return maxima.size + minima.size >= 3
 
 
-def emd(
-    signal: Signal, cfg: SiftConfig = SiftConfig(), max_modes: int = DEFAULT_MAX_MODES
-) -> Decomposition:
+def emd(signal: Signal, max_modes: int = DEFAULT_MAX_MODES) -> Decomposition:
     """Empirical mode decomposition of `signal`.
 
     Extracts IMFs from successive residues until the residue has fewer
@@ -231,15 +226,15 @@ def emd(
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < max_modes and _decomposable(residue):
-        imf, residue = extract_imf(residue, cfg)
+        imf, residue = extract_imf(residue)
         imfs.append(imf)
     return Decomposition(imfs=imfs, residue=residue)
 
 
-def local_mean_operator(samples, cfg: SiftConfig = SiftConfig()) -> np.ndarray:
+def local_mean_operator(samples) -> np.ndarray:
     """M: the signal minus its first EMD mode; identity when no mode exists."""
     x = as_float_array(samples)
     if not _decomposable(x):
         return x.copy()
-    _, proto_residue = extract_imf(x, cfg)
+    _, proto_residue = extract_imf(x)
     return proto_residue

@@ -43,10 +43,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.size
 
-    def times(self) -> np.ndarray:
-        """Sample instants t_i = i / fs."""
-        return np.arange(self.samples.size) / self.sample_rate_hz
-
     def with_samples(self, samples) -> "Signal":
         """Same sample rate, new amplitudes."""
         return Signal(samples, self.sample_rate_hz)

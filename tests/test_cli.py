@@ -131,6 +131,14 @@ class TestDefaults:
         assert run([*argv, "-o", tmp_path / "dec.csv", "--report", rep_path]) == 0
         assert read_report(rep_path)["config_echo"]["ensemble"] == asdict(EnsembleConfig(seed=6))
 
+    def test_decompose_emd_echoes_max_modes_only(self, tmp_path, short_signal):
+        # the sifting rules are fixed, so no report echoes them
+        rep_path = tmp_path / "rep.json"
+        argv = ["decompose", short_signal, "--method", "emd"]
+        assert run([*argv, "-o", tmp_path / "dec.csv", "--report", rep_path]) == 0
+        echo = read_report(rep_path)["config_echo"]
+        assert list(echo) == ["method", "max_modes", "input", "sample_rate_hz"]
+
     def test_apen_echoes_apen_defaults(self, tmp_path, short_signal):
         dec_path, rep_path = tmp_path / "dec.csv", tmp_path / "apen.json"
         assert run(["decompose", short_signal, "--method", "emd", "-o", dec_path]) == 0

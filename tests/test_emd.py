@@ -123,14 +123,13 @@ class TestMeanEnvelope:
     def test_every_envelope_has_three_increasing_knots(self, y):
         maxima, minima = find_extrema(y)
         assume(maxima.size >= 1 and minima.size >= 1)
-        for count in (1, 2, 3):
-            ux, _, lx, _ = emd_module._envelope_knots(y, maxima, minima, count)
-            for knots in (ux, lx):
-                assert knots.size >= 3
-                assert np.all(np.diff(knots) > 0)
-            env = mean_envelope(y, maxima, minima, SiftConfig(boundary_extrema_count=count))
-            assert env.shape == y.shape
-            assert np.all(np.isfinite(env))
+        ux, _, lx, _ = emd_module._envelope_knots(y, maxima, minima)
+        for knots in (ux, lx):
+            assert knots.size >= 3
+            assert np.all(np.diff(knots) > 0)
+        env = mean_envelope(y, maxima, minima)
+        assert env.shape == y.shape
+        assert np.all(np.isfinite(env))
 
 
 class TestExtractImf:
@@ -305,20 +304,8 @@ class TestOperators:
 
 
 class TestSiftConfig:
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            SiftConfig(sd_threshold=0.0)
-        with pytest.raises(ValueError):
-            SiftConfig(max_sift_iterations=0)
-        with pytest.raises(ValueError):
-            SiftConfig(boundary_extrema_count=0)
-
     @pytest.mark.parametrize("field, value", [
-        ("sd_threshold", float("nan")),
-        ("sd_threshold", float("inf")),
-        ("sd_threshold", 0.0),
         ("max_sift_iterations", 0),
-        ("boundary_extrema_count", 0),
     ])
     def test_config_error_names_field(self, field, value):
         with pytest.raises(InvalidConfigError, match=field):

@@ -46,7 +46,7 @@ class TestSynthSignal:
 
     def test_gate_region(self):
         sig = synth_signal()
-        t = sig.times()
+        t = np.arange(len(sig)) / sig.sample_rate_hz
         tone = np.sin(2 * np.pi * 20 * t)
         outside = (t < 0.15) | (t > 0.25)
         assert np.allclose(sig.samples[outside], tone[outside], atol=1e-12)

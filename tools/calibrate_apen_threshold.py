@@ -73,7 +73,8 @@ def main():
     print(f"midpoint               : {midpoint:.4f}")
     print(f"default (one decimal)  : {default}")
 
-    sine = Signal(np.sin(2 * np.pi * 20.0 * clean.times()), fs)
+    t = np.arange(len(clean)) / fs
+    sine = Signal(np.sin(2 * np.pi * 20.0 * t), fs)
     print(f"\nclean-input gate entropies, ensemble seeds 0-{CLEAN_SEEDS[-1]}:")
     largest = 0.0
     for name, sig in (("pure 20 Hz sine", sine), ("clean benchmark", clean)):
