@@ -1,9 +1,19 @@
-"""Approximate entropy via the binary distance matrix.
+"""Approximate entropy (Pincus 1991) counted over sorted windows.
 
-Templates of length 2 and 3 are compared through the diagonal-AND of the
-pairwise |z_i - z_j| < a matrix, which is exactly a Chebyshev template
-match. Self-matches are counted, so every log is finite and the entropy
-is nonnegative.
+The statistic counts, for every template of length 2 and 3, the templates
+whose samples all lie within the tolerance a of its own (a Chebyshev
+match, |z_i - z_j| < a). Self-matches are counted, so every log is finite
+and the entropy is nonnegative.
+
+Matches are counted exactly without an n-by-n matrix. The samples are
+sorted once; a template's partner can only match if its first sample lies
+within a of the template's first sample, so each block of sorted rows
+needs only one contiguous slice of sorted columns, found by binary search
+(the sorted-range idea of Manis, Aktaruzzaman & Sassi, 2017). Every
+element of the slice is re-tested with the same floating-point predicate,
+so the integer counts, and the entropy computed from them in the original
+row order, are the ones a full pairwise comparison gives, bit for bit.
+Memory is linear in n.
 """
 from __future__ import annotations
 
@@ -15,6 +25,9 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, as_float_array
+
+# Sorted rows per block: working memory is _BLOCK times the window width.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -56,29 +69,67 @@ def approximate_entropy(
 ) -> float:
     """Approximate entropy of `series` with template length 2.
 
-    C_i^2 counts diagonal-AND template matches of length 2 over the first
-    n-1 rows, C_i^3 length-3 matches over the first n-2; the entropy is
-    the difference of the mean-log match rates. The relative tolerance is
-    cfg.tolerance_factor * max(std(series), std_floor). Constant input
-    returns 0.
+    C_i^2 counts the templates z[j:j+2] (j <= n-2) that match z[i:i+2],
+    C_i^3 those z[j:j+3] (j <= n-3) that match z[i:i+3]; the entropy is
+    the mean log of C^2 / (n-1) over i <= n-2 minus the mean log of
+    C^3 / (n-2) over i <= n-3. The tolerance is
+    a = cfg.tolerance_factor * max(std(series), std_floor). Constant input
+    returns 0; a standard deviation that overflows float64 raises
+    InvalidSignalError.
+
+    Rows are taken in sorted order, _BLOCK at a time, and a block's
+    candidate columns are the sorted samples from fl(z_i - a) to
+    fl(z_i + a) over its rows. That range holds every match: a is a float
+    and rounding is monotone, so |fl(z_i - z_j)| < a implies
+    z_i - a < z_j < z_i + a exactly, and then fl(z_i - a) <= z_j <=
+    fl(z_i + a). Each candidate is re-tested with |z_i - z_j| < a, so the
+    counts are the exact integers, and they are averaged in the original
+    row order, so the result does not depend on the sorting or blocking.
+    Templates that run past the end carry NaN, which matches nothing.
+    Working memory is O(n + _BLOCK * window), at most O(_BLOCK * n).
     """
     z = as_float_array(series)
     n = z.size
     if n < 10:
         raise InvalidSignalError(f"approximate entropy needs n >= 10, got {n}")
-    sd = max(float(z.std()), std_floor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = max(float(z.std()), std_floor)
+    if not math.isfinite(sd):
+        raise InvalidSignalError(
+            "approximate entropy: the standard deviation of the samples "
+            "overflows float64; rescale the input"
+        )
     if sd == 0.0:
         return 0.0
     a = cfg.tolerance_factor * sd
 
-    b = np.abs(z[:, None] - z[None, :]) < a
-    pair = b[:-1, :-1] & b[1:, 1:]
-    c2 = pair.sum(axis=1) / (n - 1)
-    triple = pair[:-1, :-1] & b[2:, 2:]
-    c3 = triple.sum(axis=1) / (n - 2)
-    phi1 = float(np.mean(np.log(c2)))
-    phi2 = float(np.mean(np.log(c3)))
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    pad = np.concatenate([z, [np.nan, np.nan]])
+    zs1 = pad[order + 1]
+    zs2 = pad[order + 2]
+    lo = np.searchsorted(zs, zs - a, side="left")
+    hi = np.searchsorted(zs, zs + a, side="right")
+
+    c2 = np.empty(n, dtype=np.int64)
+    c3 = np.empty(n, dtype=np.int64)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        cols = slice(lo[s], hi[e - 1])
+        pair = _within(zs[s:e], zs[cols], a)
+        pair &= _within(zs1[s:e], zs1[cols], a)
+        c2[order[s:e]] = pair.sum(axis=1)
+        pair &= _within(zs2[s:e], zs2[cols], a)
+        c3[order[s:e]] = pair.sum(axis=1)
+    phi1 = float(np.mean(np.log(c2[: n - 1] / (n - 1))))
+    phi2 = float(np.mean(np.log(c3[: n - 2] / (n - 2))))
     return phi1 - phi2
+
+
+def _within(rows: np.ndarray, cols: np.ndarray, a: float) -> np.ndarray:
+    """|rows_i - cols_j| < a for every pair, as a len(rows) x len(cols) mask."""
+    diff = np.subtract.outer(rows, cols)
+    return np.abs(diff, out=diff) < a
 
 
 def apen_per_imf(

@@ -1,10 +1,29 @@
-"""Brute-force approximate entropy, written with explicit loops.
+"""Reference approximate entropies, used only to cross-check.
 
-Independent of the vectorized implementation: builds the full binary
-distance matrix element by element and counts template matches with
-nested loops. Used only to cross-check.
+apen_dense is the full n-by-n match-matrix formula: the same predicate,
+counts and summation order as iceemd.entropy.approximate_entropy, so the
+two agree bit for bit. apen_bruteforce is independent of both: it builds
+the binary distance matrix element by element and counts template
+matches with nested loops.
 """
 import math
+
+import numpy as np
+
+
+def apen_dense(z, a):
+    """Approximate entropy with template length 2 and tolerance a, from
+    the diagonal-AND of the pairwise |z_i - z_j| < a matrix."""
+    z = np.asarray(z, dtype=np.float64)
+    n = z.size
+    b = np.abs(z[:, None] - z[None, :]) < a
+    pair = b[:-1, :-1] & b[1:, 1:]
+    c2 = pair.sum(axis=1) / (n - 1)
+    triple = pair[:-1, :-1] & b[2:, 2:]
+    c3 = triple.sum(axis=1) / (n - 2)
+    phi1 = float(np.mean(np.log(c2)))
+    phi2 = float(np.mean(np.log(c3)))
+    return phi1 - phi2
 
 
 def apen_bruteforce(series, a):

@@ -4,9 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from iceemd import ApEnConfig, EnsembleConfig, PipelineConfig, synth_signal
+from iceemd import ApEnConfig, Decomposition, EnsembleConfig, PipelineConfig, synth_signal
 from iceemd.cli import run_cli
-from iceemd.io import read_report, read_signal_csv, write_signal_csv
+from iceemd.io import read_report, read_signal_csv, write_decomposition_csv, write_signal_csv
 
 
 def run(argv):
@@ -193,6 +193,17 @@ class TestErrors:
         assert run(["apen", bad, "-o", tmp_path / "r.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: format: line 2:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_apen_overflowing_std_exit_2(self, tmp_path, capsys):
+        imf = 1e307 * np.random.default_rng(0).standard_normal(50)
+        dec = Decomposition(imfs=[imf], residue=np.zeros(50))
+        path = tmp_path / "dec.csv"
+        write_decomposition_csv(dec, path, 1000.0, "test")
+        assert run(["apen", path, "-o", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "overflow" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
     def test_missing_file_exit_2(self, tmp_path):

@@ -1,5 +1,12 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iceemd import (
     ApEnConfig,
@@ -10,7 +17,7 @@ from iceemd import (
     approximate_entropy,
 )
 
-from apen_oracle import apen_bruteforce
+from apen_oracle import apen_bruteforce, apen_dense
 
 
 class TestApproximateEntropy:
@@ -101,6 +108,132 @@ class TestApproximateEntropy:
     def test_tolerance_factor_warning(self):
         with pytest.warns(UserWarning):
             ApEnConfig(tolerance_factor=0.5)
+
+
+def _dense(z, cfg, std_floor=0.0):
+    """The full-matrix entropy at the tolerance approximate_entropy uses."""
+    return apen_dense(z, cfg.tolerance_factor * max(float(z.std()), std_floor))
+
+
+class TestDenseIdentity:
+    """The sorted-window counts give the full-matrix result bit for bit."""
+
+    @pytest.mark.parametrize("n", [10, 11, 63, 64, 65, 500, 2048])
+    def test_white_noise(self, n):
+        z = np.random.default_rng(n).standard_normal(n)
+        cfg = ApEnConfig()
+        assert approximate_entropy(z, cfg) == _dense(z, cfg)
+
+    @pytest.mark.parametrize("n", [10, 129, 1000, 2048])
+    @pytest.mark.parametrize("cycles", [1.5, 20.0, 300.0])
+    def test_sines(self, n, cycles):
+        z = np.sin(2 * np.pi * cycles * np.arange(n) / n)
+        cfg = ApEnConfig()
+        assert approximate_entropy(z, cfg) == _dense(z, cfg)
+
+    @pytest.mark.parametrize("levels", [2, 3, 7])
+    @pytest.mark.parametrize("std_floor", [0.0, 1.0, 4.0])
+    def test_integer_ties(self, levels, std_floor):
+        z = np.random.default_rng(levels).integers(0, levels, size=700).astype(float)
+        cfg = ApEnConfig()
+        assert approximate_entropy(z, cfg, std_floor) == _dense(z, cfg, std_floor)
+
+    def test_tolerance_equal_to_neighbour_gap(self):
+        # the test_strict_inequality set-up: a == 1.0, the gap between levels
+        z = np.random.default_rng(3).integers(0, 4, size=60).astype(float)
+        value = approximate_entropy(z, ApEnConfig(tolerance_factor=0.125), std_floor=8.0)
+        assert value == apen_dense(z, 1.0)
+
+    def test_gap_just_inside_tolerance(self):
+        # a == 1.0 and the levels are one ulp less than 1.0 apart, so
+        # neighbouring levels match: the candidate range must reach them
+        levels = np.random.default_rng(3).integers(0, 4, size=200).astype(float)
+        z = levels * np.nextafter(1.0, 0.0)
+        value = approximate_entropy(z, ApEnConfig(tolerance_factor=0.125), std_floor=8.0)
+        assert value == apen_dense(z, 1.0)
+        assert value != apen_dense(z, np.nextafter(1.0, 0.0))
+
+    def test_every_pair_matches(self):
+        z = np.random.default_rng(8).standard_normal(1000)
+        cfg = ApEnConfig()
+        value = approximate_entropy(z, cfg, std_floor=1e3)
+        assert value == _dense(z, cfg, 1e3) == 0.0
+
+
+def _finite_samples():
+    """Arbitrary finite float64 arrays of 10-150 samples, plus scaled ones:
+    integer-valued (ties) or uniform, at subnormal, unit and 1e300 scale."""
+    shape = st.integers(10, 150)
+    scale = st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300])
+    arbitrary = arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+    ties = arrays(np.float64, shape, elements=st.integers(-3, 3).map(float))
+    uniform = arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+    scaled = st.tuples(st.one_of(ties, uniform), scale).map(lambda zs: zs[0] * zs[1])
+    return st.one_of(arbitrary, scaled)
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(z=_finite_samples(), std_floor=st.one_of(st.just(0.0), st.floats(0.0, 1e308)))
+def test_equals_dense_oracle_bit_for_bit(z, std_floor):
+    cfg = ApEnConfig()
+    with np.errstate(all="ignore"):
+        sd = max(float(z.std()), std_floor)
+        if not math.isfinite(sd):
+            with pytest.raises(InvalidSignalError, match="overflow"):
+                approximate_entropy(z, cfg, std_floor)
+            return
+        value = approximate_entropy(z, cfg, std_floor)
+        expected = 0.0 if sd == 0.0 else apen_dense(z, cfg.tolerance_factor * sd)
+    assert _bits(value) == _bits(expected)
+
+
+class TestBoundedMemory:
+    """30,000 samples: the dense matrices would need about 9 GiB."""
+
+    N = 30_000
+    LIMIT = 64 * 2**20
+
+    def _peak(self, z, std_floor):
+        tracemalloc.start()
+        try:
+            value = approximate_entropy(z, ApEnConfig(), std_floor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return value, peak
+
+    def test_white_noise(self):
+        z = np.random.default_rng(30).standard_normal(self.N)
+        value, peak = self._peak(z, 0.0)
+        assert peak <= self.LIMIT
+        assert math.isfinite(value) and value > 2.0
+
+    def test_every_pair_matches(self):
+        z = np.random.default_rng(30).standard_normal(self.N)
+        value, peak = self._peak(z, 1e6)
+        assert peak <= self.LIMIT
+        assert value == 0.0
+
+
+class TestOverflowingStd:
+    @pytest.mark.parametrize("z", [
+        np.array([1e308, -1e308] * 10),
+        1e307 * np.random.default_rng(0).standard_normal(50),
+    ], ids=["alternating-1e308", "noise-1e307"])
+    def test_rejected_without_warnings(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSignalError, match="overflow"):
+                approximate_entropy(z)
+
+    def test_finite_std_unaffected(self):
+        z = 1e150 * np.random.default_rng(0).standard_normal(50)
+        cfg = ApEnConfig()
+        assert approximate_entropy(z, cfg) == _dense(z, cfg)
 
 
 class TestApenPerImf:
