@@ -232,9 +232,5 @@ def emd(signal: Signal, max_modes: int = DEFAULT_MAX_MODES) -> Decomposition:
 
 
 def local_mean_operator(samples) -> np.ndarray:
-    """M: the signal minus its first EMD mode; identity when no mode exists."""
-    x = as_float_array(samples)
-    if not _decomposable(x):
-        return x.copy()
-    _, proto_residue = extract_imf(x)
-    return proto_residue
+    """M(x): the residue of a one-mode EMD of x; x itself when x has no mode."""
+    return emd(Signal(samples, sample_rate_hz=1.0), max_modes=1).residue

@@ -58,7 +58,7 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
     Realization i is derived from (seed, i) alone, so the same index gives
     the same sequence for any ensemble size. Each realization is
     standardized to exact zero mean and unit population std. A realization
-    may have fewer modes than a stage asks for; iceemd adds no noise there.
+    may have fewer modes than a stage asks for; iceemd adds 0.0 there.
     """
     if n < 4:
         raise InvalidSignalError(f"noise bank needs n >= 4, got {n}")
@@ -69,11 +69,11 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
     ]
 
 
-def _ensemble_mean_local_mean(base: np.ndarray, scaled_noise: list[np.ndarray]) -> np.ndarray:
-    """Average of M(base + noise_i) over the ensemble.
+def _ensemble_mean_local_mean(base: np.ndarray, scaled_noise: list) -> np.ndarray:
+    """Average of M(base + noise_i) over the ensemble, noise_i an array or 0.0.
 
-    Kahan-compensated summation in fixed index order, so the result does
-    not depend on any execution schedule.
+    Determinism comes from the fixed member order of the sum; Kahan
+    compensation bounds its rounding error, whatever the ensemble size.
     """
     acc = np.zeros_like(base)
     comp = np.zeros_like(base)
@@ -107,23 +107,19 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
         raise InvalidSignalError(f"signal too short to decompose ({x.size} samples)")
     floor = cfg.epsilon0 * float(x.std()) / np.sqrt(cfg.ensemble_size)
 
+    bank = generate_noise_bank(x.size, cfg)
     imfs: list[np.ndarray] = []
     residue = x.copy()
-    if not _decomposable(residue):
-        return Decomposition(imfs=imfs, residue=residue, noise_floor=floor)
-
-    bank = generate_noise_bank(x.size, cfg)
-    for k in range(1, cfg.max_modes + 1):
+    while len(imfs) < cfg.max_modes and _decomposable(residue):
+        k = len(imfs)
         beta = cfg.epsilon0 * float(residue.std())
         scaled = [
-            np.zeros(x.size) if k > len(modes)
-            else beta * modes[0] / float(modes[0].std()) if k == 1
-            else beta * modes[k - 1]
+            0.0 if k >= len(modes)
+            else beta * modes[0] / float(modes[0].std()) if k == 0
+            else beta * modes[k]
             for modes in bank
         ]
         next_residue = _ensemble_mean_local_mean(residue, scaled)
         imfs.append(residue - next_residue)
         residue = next_residue
-        if not _decomposable(residue):
-            break
     return Decomposition(imfs=imfs, residue=residue, noise_floor=floor)

@@ -74,7 +74,8 @@ def approximate_entropy(
     the mean log of C^2 / (n-1) over i <= n-2 minus the mean log of
     C^3 / (n-2) over i <= n-3. The tolerance is
     a = cfg.tolerance_factor * max(std(series), std_floor). Constant input
-    returns 0; a standard deviation that overflows float64 raises
+    returns 0 at any floor; a standard deviation that overflows float64,
+    or a tolerance that underflows to 0 and so matches nothing, raises
     InvalidSignalError.
 
     Rows are taken in sorted order, _BLOCK at a time, and a block's
@@ -92,6 +93,8 @@ def approximate_entropy(
     n = z.size
     if n < 10:
         raise InvalidSignalError(f"approximate entropy needs n >= 10, got {n}")
+    if z.min() == z.max():
+        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         sd = max(float(z.std()), std_floor)
     if not math.isfinite(sd):
@@ -99,9 +102,11 @@ def approximate_entropy(
             "approximate entropy: the standard deviation of the samples "
             "overflows float64; rescale the input"
         )
-    if sd == 0.0:
-        return 0.0
     a = cfg.tolerance_factor * sd
+    if a == 0.0:
+        raise InvalidSignalError(
+            "approximate entropy: the tolerance underflows to 0; rescale the input"
+        )
 
     order = np.argsort(z, kind="stable")
     zs = z[order]

@@ -8,7 +8,7 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .ensemble import EnsembleConfig, iceemd
 from .entropy import ApEnConfig, ApEnReport, apen_per_imf
 from .errors import InvalidConfigError
 from .types import Decomposition, Signal
-from .wavelet import DenoiseConfig, _max_levels, wavelet_denoise
+from .wavelet import DenoiseConfig, wavelet_denoise
 
 # Gate value between the entropies of tone-carrying and noise-dominated
 # modes: midpoint (0.868) between the largest entropy among the clean
@@ -74,20 +74,16 @@ def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> Denoise
     Ensemble-decompose, compute per-IMF approximate entropy, wavelet-
     denoise the modes above cfg.apen_threshold (the residue is a trend and
     is never denoised), and sum everything back into the output signal.
-    Modes too short for the configured level count fall back to as few as
-    one level instead of failing, with every wavelet. Each mode's entropy
+    Modes too short for the configured level count are denoised with as
+    many levels as they support (see wavelet_denoise). Each mode's entropy
     tolerance is floored at the decomposition's noise_floor (see
     ensemble.iceemd), so a clean signal passes through unchanged.
     """
     dec = iceemd(signal, cfg.ensemble)
     report = apen_per_imf(dec, cfg.apen, cfg.apen_threshold)
-    # every mode is as long as the residue; entropy needs n >= 10, so one
-    # level (n >= 8) fits every flagged mode
-    levels = max(1, min(cfg.denoise.levels, _max_levels(dec.residue.size)))
-    denoise = replace(cfg.denoise, levels=levels)
     processed = list(dec.imfs)
     for k in report.flagged:
-        processed[k] = wavelet_denoise(processed[k], denoise)
+        processed[k] = wavelet_denoise(processed[k], cfg.denoise)
     denoised = Decomposition(processed, dec.residue, dec.noise_floor)
     return DenoiseResult(
         decomposition_raw=dec,

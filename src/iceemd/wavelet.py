@@ -5,8 +5,8 @@ synthesize by upsample-filter-sum. Both extension modes reconstruct any
 input exactly (within float accumulation); denoising shrinks every detail
 band by the universal threshold and leaves the approximation alone.
 n samples support up to _max_levels(n) levels with every wavelet, even
-where a band is shorter than the filter, so iceemd_de's fallback to fewer
-levels holds for every wavelet.
+where a band is shorter than the filter. dwt refuses more; wavelet_denoise
+uses at most its configured levels, and at least one.
 """
 from __future__ import annotations
 
@@ -233,10 +233,12 @@ class WaveletCoefficients:
 class DenoiseConfig:
     """Wavelet denoising parameters.
 
-    sigma_estimator: "signal_std" takes the std of the series being
-    denoised (right when that series is noise-dominated, as a flagged
-    mode is); "mad_finest" rescales the median absolute value of the
-    finest detail band (the robust choice for a structured whole signal).
+    levels is the most levels wavelet_denoise uses; a shorter series gets
+    as many as it supports. sigma_estimator: "signal_std" takes the std of
+    the series being denoised (right when that series is noise-dominated,
+    as a flagged mode is); "mad_finest" rescales the median absolute value
+    of the finest detail band (the robust choice for a structured whole
+    signal).
     """
 
     wavelet: str = "db4"
@@ -384,11 +386,13 @@ def _estimate_sigma(x: np.ndarray, coeffs: WaveletCoefficients, estimator: str) 
 def wavelet_denoise(signal, cfg: DenoiseConfig = DenoiseConfig()) -> np.ndarray:
     """Universal soft-threshold denoising.
 
-    Analyze, estimate the noise scale, shrink the detail bands by
+    Analyze with at most cfg.levels levels (as many as the series supports,
+    at least one), estimate the noise scale, shrink the detail bands by
     sigma * sqrt(2 ln n) (approximation untouched), synthesize.
     """
     x = as_float_array(signal)
-    coeffs = dwt(x, cfg)
+    levels = max(1, min(cfg.levels, _max_levels(x.size)))
+    coeffs = dwt(x, replace(cfg, levels=levels))
     sigma = _estimate_sigma(x, coeffs, cfg.sigma_estimator)
     lam = universal_threshold(sigma, x.size)
     shrunk = [soft_threshold(d, lam) for d in coeffs.details]

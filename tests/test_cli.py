@@ -1,10 +1,18 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from iceemd import ApEnConfig, Decomposition, EnsembleConfig, PipelineConfig, synth_signal
+from iceemd import (
+    ApEnConfig,
+    Decomposition,
+    EnsembleConfig,
+    PipelineConfig,
+    add_noise_snr,
+    synth_signal,
+)
 from iceemd.cli import run_cli
 from iceemd.io import read_report, read_signal_csv, write_decomposition_csv, write_signal_csv
 
@@ -205,6 +213,31 @@ class TestErrors:
         assert err.startswith("error: data:") and "overflow" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_apen_zero_mode_at_subnormal_floor_is_zero(self, tmp_path):
+        # a tolerance of 0.15 * 5e-324 underflows to 0; the all-zero mode
+        # still scores 0.0, not NaN
+        dec = Decomposition(imfs=[np.zeros(50)], residue=np.zeros(50), noise_floor=5e-324)
+        path, report = tmp_path / "dec.csv", tmp_path / "r.json"
+        write_decomposition_csv(dec, path, 1000.0, "test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["apen", path, "-o", report]) == 0
+        assert read_report(report)["apen_table"]["per_imf"][0]["apen"] == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    def test_denoise_underflowing_tolerance_exit_2(self, tmp_path, capsys, scale):
+        # the std of these modes underflows, so their entropy tolerance is 0
+        noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(noisy.with_samples(scale * noisy.samples), sig)
+        out = tmp_path / "out.csv"
+        argv = ["denoise", sig, "--seed", 1, "--ensemble-size", 10, "-o", out]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "underflow" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["metrics", tmp_path / "no.csv", tmp_path / "no.csv"]) == 2

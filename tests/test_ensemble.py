@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iceemd import (
     EnsembleConfig,
@@ -13,6 +16,8 @@ from iceemd import (
 )
 from iceemd.ensemble import _realization
 from iceemd.signals import dominant_frequency, synth_signal
+
+from iceemd_oracle import iceemd_reference
 
 FS = 1000.0
 
@@ -164,3 +169,39 @@ class TestIceemd:
             EnsembleConfig(epsilon0=0.0)
         with pytest.raises(ValueError):
             EnsembleConfig(seed=-1)
+
+
+def _oracle_inputs():
+    """Finite arrays of 4-160 samples: bounded floats at three scales,
+    integer-valued ones with plateaus, random walks, monotone and constant
+    ones, and 4-8 samples, where realizations run out of modes first."""
+    n = st.integers(4, 160)
+    bounded = st.tuples(
+        arrays(np.float64, n, elements=st.floats(-1e3, 1e3)),
+        st.sampled_from([1e-100, 1.0, 1e100]),
+    ).map(lambda xs: xs[0] * xs[1])
+    plateaus = arrays(np.float64, n, elements=st.integers(-3, 3).map(float))
+    walks = arrays(np.float64, n, elements=st.floats(-1.0, 1.0)).map(np.cumsum)
+    monotone = arrays(np.float64, n, elements=st.floats(0.0, 1e3)).map(np.cumsum)
+    constant = st.tuples(n, st.floats(-1e3, 1e3)).map(lambda c: np.full(*c))
+    tiny = arrays(np.float64, st.integers(4, 8), elements=st.floats(-1e3, 1e3))
+    return st.one_of(bounded, plateaus, walks, monotone, constant, tiny)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=_oracle_inputs(),
+    ensemble_size=st.integers(1, 3),
+    max_modes=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_equals_reference_recursion_bit_for_bit(x, ensemble_size, max_modes, seed):
+    cfg = EnsembleConfig(ensemble_size=ensemble_size, seed=seed, max_modes=max_modes)
+    dec = iceemd(Signal(x, FS), cfg)
+    imfs, residue = iceemd_reference(x, cfg)
+    assert len(dec.imfs) == len(imfs)
+    for got, want in zip(dec.imfs, imfs):
+        assert got.tobytes() == want.tobytes()
+    assert dec.residue.tobytes() == residue.tobytes()
+    scale = np.abs(x).max()
+    assert np.abs(dec.reconstruct() - x).max() <= 1e-10 * scale

@@ -182,12 +182,16 @@ def test_equals_dense_oracle_bit_for_bit(z, std_floor):
     cfg = ApEnConfig()
     with np.errstate(all="ignore"):
         sd = max(float(z.std()), std_floor)
-        if not math.isfinite(sd):
+        if z.min() != z.max() and not math.isfinite(sd):
             with pytest.raises(InvalidSignalError, match="overflow"):
                 approximate_entropy(z, cfg, std_floor)
             return
+        if z.min() != z.max() and cfg.tolerance_factor * sd == 0.0:
+            with pytest.raises(InvalidSignalError, match="underflow"):
+                approximate_entropy(z, cfg, std_floor)
+            return
         value = approximate_entropy(z, cfg, std_floor)
-        expected = 0.0 if sd == 0.0 else apen_dense(z, cfg.tolerance_factor * sd)
+        expected = 0.0 if z.min() == z.max() else apen_dense(z, cfg.tolerance_factor * sd)
     assert _bits(value) == _bits(expected)
 
 
@@ -234,6 +238,27 @@ class TestOverflowingStd:
         z = 1e150 * np.random.default_rng(0).standard_normal(50)
         cfg = ApEnConfig()
         assert approximate_entropy(z, cfg) == _dense(z, cfg)
+
+
+class TestZeroRangeAndUnderflow:
+    @pytest.mark.parametrize("z, std_floor", [
+        (np.zeros(20), 5e-324),
+        (np.full(20, 1.7976931348623157e308), 0.0),
+    ], ids=["zero-subnormal-floor", "constant-max-float"])
+    def test_zero_range_is_zero(self, z, std_floor):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert approximate_entropy(z, ApEnConfig(), std_floor) == 0.0
+
+    @pytest.mark.parametrize("z, std_floor", [
+        (np.array([5e-324, 0.0] * 10), 5e-324),
+        (1e-300 * np.random.default_rng(0).standard_normal(50), 0.0),
+    ], ids=["subnormal-steps", "noise-1e-300"])
+    def test_rejected_without_warnings(self, z, std_floor):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSignalError, match="underflow"):
+                approximate_entropy(z, ApEnConfig(), std_floor)
 
 
 class TestApenPerImf:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from iceemd import (
     ApEnConfig,
@@ -234,6 +237,49 @@ class TestHeaderAndRows:
         path.write_text("# sample_rate_hz=1000\nt,residue\n")
         with pytest.raises(SignalFormatError):
             read_decomposition_csv(path)
+
+
+# float64 edges: the extremes, the smallest subnormal and normal, -0.0
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+)
+edge_floats = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=arrays(np.float64, st.integers(1, 40), elements=edge_floats))
+def test_signal_csv_round_trip_is_bit_exact(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("sig") / "sig.csv"
+    write_signal_csv(Signal(samples, 1000.0), path)
+    back = read_signal_csv(path)
+    assert back.sample_rate_hz == 1000.0
+    assert back.samples.tobytes() == samples.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n_imfs=st.integers(0, 3),
+    noise_floor=st.sampled_from([0.0, 5e-324, 1e308]),
+)
+def test_decomposition_csv_round_trip_is_bit_exact(tmp_path_factory, data, n_imfs, noise_floor):
+    n = data.draw(st.integers(1, 40), label="n")
+    columns = [
+        data.draw(arrays(np.float64, n, elements=edge_floats), label="column")
+        for _ in range(n_imfs + 1)
+    ]
+    dec = Decomposition(imfs=columns[:-1], residue=columns[-1], noise_floor=noise_floor)
+    path = tmp_path_factory.mktemp("dec") / "dec.csv"
+    write_decomposition_csv(dec, path, 1000.0, "test")
+    back, rate = read_decomposition_csv(path)
+    assert rate == 1000.0
+    assert back.noise_floor == noise_floor
+    assert [imf.tobytes() for imf in back.imfs] == [imf.tobytes() for imf in dec.imfs]
+    assert back.residue.tobytes() == dec.residue.tobytes()
 
 
 class TestReport:

@@ -200,6 +200,14 @@ class TestDenoise:
         x = np.random.default_rng(6).standard_normal(256)
         assert np.array_equal(wavelet_denoise(x), wavelet_denoise(x))
 
+    @pytest.mark.parametrize("mode", EXTENSION_MODES)
+    def test_levels_capped_at_what_the_series_supports(self, mode):
+        # 48 samples support 3 levels (4 need 64): a request of 4 uses 3
+        x = np.random.default_rng(7).standard_normal(48)
+        four = wavelet_denoise(x, DenoiseConfig(levels=4, extension_mode=mode))
+        three = wavelet_denoise(x, DenoiseConfig(levels=3, extension_mode=mode))
+        assert four.tobytes() == three.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
             DenoiseConfig(wavelet="nope")
