@@ -101,11 +101,22 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     2009). The entropy gate never takes a mode's tolerance finer than that,
     so a mode that holds only this remnant is not taken for measurement
     noise.
+
+    An input whose standard deviation overflows float64 (samples spread
+    beyond about 1e154) raises InvalidSignalError before the noise bank is
+    built: its noise scale would be infinite.
     """
     x = as_float_array(signal.samples)
     if x.size < 4:
         raise InvalidSignalError(f"signal too short to decompose ({x.size} samples)")
-    floor = cfg.epsilon0 * float(x.std()) / np.sqrt(cfg.ensemble_size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(x.std())
+    if not math.isfinite(sd):
+        raise InvalidSignalError(
+            "iceemd: the standard deviation of the input overflows float64; "
+            "rescale the input"
+        )
+    floor = cfg.epsilon0 * sd / np.sqrt(cfg.ensemble_size)
 
     bank = generate_noise_bank(x.size, cfg)
     imfs: list[np.ndarray] = []

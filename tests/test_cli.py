@@ -239,6 +239,22 @@ class TestErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_denoise_overflowing_std_exit_2(self, tmp_path, capsys):
+        # the input's std, and so the ensemble's noise scale, overflows
+        noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(noisy.with_samples(1e300 * noisy.samples), sig)
+        out = tmp_path / "out.csv"
+        argv = ["denoise", sig, "--seed", 1, "--ensemble-size", 10, "-o", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "standard deviation" in err
+        assert "overflows" in err and "NaN" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["metrics", tmp_path / "no.csv", tmp_path / "no.csv"]) == 2
 

@@ -2,9 +2,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 from iceemd import (
     EnsembleConfig,
@@ -21,6 +22,8 @@ from iceemd import (
 )
 from iceemd.ensemble import generate_noise_bank
 from iceemd.signals import dominant_frequency
+
+from sift_oracle import emd_reference
 
 # iceemd/__init__ rebinds the name `emd` to the function
 emd_module = sys.modules["iceemd.emd"]
@@ -130,6 +133,78 @@ class TestMeanEnvelope:
         env = mean_envelope(y, maxima, minima)
         assert env.shape == y.shape
         assert np.all(np.isfinite(env))
+
+
+# natural-spline knots: 3-400 strictly increasing integers (gaps up to 60
+# make dx[1] > 2 * dx[0] common, the pivoting branch of dgtsv), finite
+# values from subnormal to 1e300 with both signed zeros, and an evaluation
+# grid reaching up to 6 samples past each end knot
+spline_knots = st.integers(3, 400).flatmap(
+    lambda k: st.tuples(
+        st.integers(-100, 100),
+        arrays(np.int64, k - 1, elements=st.integers(1, 60)),
+        arrays(np.float64, k, elements=st.one_of(
+            st.floats(-1e300, 1e300), st.sampled_from([-0.0, 0.0]))),
+        st.integers(0, 6),
+    )
+)
+
+
+class TestNaturalSpline:
+    @settings(max_examples=300, deadline=None)
+    @given(spline_knots)
+    @example((0, np.array([1, 3, 1]), np.array([0.0, -0.0, 1.0, -1.0]), 2))
+    def test_equals_scipy_natural_spline_bit_for_bit(self, knots):
+        start, gaps, y, beyond = knots
+        x = start + np.concatenate(([0], np.cumsum(gaps)))
+        grid = np.arange(x[0] - beyond, x[-1] + beyond + 1)
+        ours = emd_module.CubicSpline(x, y)
+        ref = ScipyCubicSpline(x, y, bc_type="natural")
+        assert ours.c.tobytes() == ref.c.tobytes()
+        assert ours(grid).tobytes() == ref(grid).tobytes()
+
+
+@st.composite
+def uneven_extrema(draw, n):
+    """Straight segments between alternating peaks and troughs 1-40
+    samples apart, of heights 0.1-10."""
+    gaps = draw(st.lists(st.integers(1, 40), min_size=1, max_size=n))
+    pos = np.unique(np.minimum(np.cumsum([0] + gaps), n - 1))
+    heights = draw(arrays(np.float64, pos.size, elements=st.floats(0.1, 10.0)))
+    heights[1::2] *= -1.0
+    return np.interp(np.arange(n), pos, heights)
+
+
+# finite series of 8-400 samples at scales 1e-100, 1 and 1e100: random
+# walks, integer levels with plateaus, and unevenly spaced extrema
+sift_series = st.tuples(
+    st.integers(8, 400).flatmap(
+        lambda n: st.one_of(
+            arrays(np.float64, n, elements=st.floats(-1.0, 1.0)).map(np.cumsum),
+            arrays(np.int64, n, elements=st.integers(-3, 3)).map(lambda a: a.astype(float)),
+            uneven_extrema(n),
+        )
+    ),
+    st.sampled_from([1e-100, 1.0, 1e100]),
+).map(lambda pair: pair[0] * pair[1])
+
+
+class TestSiftOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(sift_series)
+    def test_emd_equals_oracle_bit_for_bit(self, y):
+        dec = emd(Signal(y, FS))
+        imfs, residue = emd_reference(y)
+        assert len(dec.imfs) == len(imfs)
+        for ours, ref in zip(dec.imfs, imfs):
+            assert ours.tobytes() == ref.tobytes()
+        assert dec.residue.tobytes() == residue.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(sift_series)
+    def test_local_mean_equals_oracle_bit_for_bit(self, y):
+        _, residue = emd_reference(y, max_modes=1)
+        assert local_mean_operator(y).tobytes() == residue.tobytes()
 
 
 class TestExtractImf:
