@@ -1,10 +1,17 @@
-"""Plain empirical mode decomposition.
+"""Plain empirical mode decomposition, many rows sifted in lockstep.
 
 Extrema detection, cubic-spline envelopes with the boundary conditions of
 Rilling, Flandrin & Goncalves (2003), sifting, and the local-mean operator
 M the ensemble recursion is built from (M(x) = x minus the first IMF of x).
-Each envelope is a natural cubic spline built with one LAPACK tridiagonal
-solve, bit-identical to scipy's CubicSpline(bc_type="natural").
+
+Every layer takes a (rows, n) array, a 1-D input being one row, and
+treats each row exactly as it would treat that row alone, so every
+output is bit-identical to a row-by-row run. Rows that stop sifting
+leave the block; the others go on. emd and local_mean_operator take at
+most _BATCH_SAMPLES samples at a time. The envelopes of all rows are one
+piecewise cubic per side, a block per row, each block solved by LAPACK's
+tridiagonal solver and bit-identical to scipy's
+CubicSpline(bc_type="natural") of that row's knots.
 """
 from __future__ import annotations
 
@@ -29,6 +36,12 @@ SD_THRESHOLD = 0.2
 # mean_envelope)
 BOUNDARY_EXTREMA_COUNT = 2
 
+# Samples sifted together at most: emd, local_mean_operator and the
+# ensemble split their rows into batches of at most this many samples
+# (one row where a row is longer), so the sift's working memory does not
+# grow with the number of rows
+_BATCH_SAMPLES = 16384
+
 
 @dataclass(frozen=True)
 class SiftConfig:
@@ -47,37 +60,67 @@ class SiftConfig:
             )
 
 
+def _batches(rows: int, n: int) -> list[slice]:
+    """Near-equal consecutive slices of `rows` rows of n samples, each at
+    most _BATCH_SAMPLES samples or one row."""
+    per = max(1, _BATCH_SAMPLES // max(n, 1))
+    count = -(-rows // per)
+    bounds = [rows * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _as_rows(samples) -> np.ndarray:
+    """Finite samples as a (rows, n) float64 array; a 1-D input is one row."""
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim == 2:
+        return as_float_array(arr, ndim=2)
+    return as_float_array(arr)[None]
+
+
+def _row_bounds(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """Where each row's run starts in ascending flat indices, plus the end."""
+    return np.searchsorted(flat, np.arange(0, (rows + 1) * n, n))
+
+
 def find_extrema(samples) -> tuple[np.ndarray, np.ndarray]:
     """Indices of strict interior maxima and minima, ascending.
 
     A plateau of equal values flanked by lower (higher) neighbors counts as
     one maximum (minimum) at its middle index, left-middle for even plateau
-    length. Monotone input has no interior extrema.
+    length. Monotone input has no interior extrema. Each row of a (rows, n)
+    array is searched on its own; the indices are flat, into
+    samples.ravel(), so row r's lie in [r*n, (r+1)*n).
     """
-    y = as_float_array(samples)
-    if y.size < 3:
-        raise InvalidSignalError(f"need at least 3 samples, got {y.size}")
+    y = _as_rows(samples)
+    rows, n = y.shape
+    if n < 3:
+        raise InvalidSignalError(f"need at least 3 samples, got {n}")
 
-    slope = np.diff(y)
-    nonzero = slope != 0.0
-    sgn = np.sign(slope[nonzero])
-    idx = np.nonzero(nonzero)[0]
-    turn = np.diff(sgn)
-    where = np.nonzero(turn)[0]
+    slope = np.diff(y.ravel())
+    # the step from one row's last sample to the next row's first is flat
+    slope[n - 1::n] = 0.0
+    idx = np.flatnonzero(slope != 0.0)
+    rising = (slope > 0.0)[idx]
+    turn = rising[:-1] != rising[1:]
+    if rows > 1:
+        # no turn from one row's last run to a later row's first
+        first = np.searchsorted(idx, np.arange(1, rows) * n)
+        turn[first[(first > 0) & (first < idx.size)] - 1] = False
+    where = np.flatnonzero(turn)
     # extremum spans from the end of the rising run to the start of the
     # falling run (indices around a possible plateau); report its middle
-    left = idx[where]
-    right = idx[where + 1] + 1
-    pos = (left + right) // 2
-    maxima = pos[turn[where] < 0]
-    minima = pos[turn[where] > 0]
-    return maxima, minima
+    pos = idx[where]
+    pos += idx[where + 1]
+    pos += 1
+    pos //= 2
+    peak = rising[where]
+    return pos[peak], pos[~peak]
 
 
 def _end_knots(d_max, v_max, d_min, v_min, y_end):
     """Envelope knots at one end, by the rule given in mean_envelope.
 
-    d_max/d_min are the distances of the extrema nearest the end from it,
+    d_max/d_min list the distances of the extrema nearest the end from it,
     ascending, and v_max/v_min their values. Returns the offsets and values
     of the upper, then the lower, envelope's added knots, offsets measured
     from the end (<= 0 lies beyond it) and nearest first.
@@ -86,59 +129,107 @@ def _end_knots(d_max, v_max, d_min, v_min, y_end):
     max_first = d_max[0] < d_min[0]
     if max_first and y_end <= v_min[0]:
         # end sample below the first minimum: it is a lower-envelope knot
-        return (-d_max[:count], v_max[:count],
-                np.concatenate(([0], -d_min[:count - 1])),
-                np.concatenate(([y_end], v_min[:count - 1])))
+        return ([-d for d in d_max[:count]], v_max[:count],
+                [0] + [-d for d in d_min[:count - 1]], [y_end] + v_min[:count - 1])
     if not max_first and y_end >= v_max[0]:
         # end sample above the first maximum: it is an upper-envelope knot
-        return (np.concatenate(([0], -d_max[:count - 1])),
-                np.concatenate(([y_end], v_max[:count - 1])),
-                -d_min[:count], v_min[:count])
+        return ([0] + [-d for d in d_max[:count - 1]], [y_end] + v_max[:count - 1],
+                [-d for d in d_min[:count]], v_min[:count])
     sym = min(d_max[0], d_min[0])
     skip_max, skip_min = (1, 0) if max_first else (0, 1)
-    o_max = 2 * sym - d_max[skip_max:skip_max + count]
-    o_min = 2 * sym - d_min[skip_min:skip_min + count]
-    if o_max.size and o_min.size and o_max[-1] <= 0 and o_min[-1] <= 0:
+    o_max = [2 * sym - d for d in d_max[skip_max:skip_max + count]]
+    o_min = [2 * sym - d for d in d_min[skip_min:skip_min + count]]
+    if o_max and o_min and o_max[-1] <= 0 and o_min[-1] <= 0:
         return (o_max, v_max[skip_max:skip_max + count],
                 o_min, v_min[skip_min:skip_min + count])
     # mirrored about the first extremum the knots would not reach past the
     # end: mirror about the end sample instead, without using it as a knot
-    return -d_max[:count], v_max[:count], -d_min[:count], v_min[:count]
+    return ([-d for d in d_max[:count]], v_max[:count],
+            [-d for d in d_min[:count]], v_min[:count])
+
+
+def _block_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray,
+                 max_bounds: list, min_bounds: list):
+    """Upper and lower envelope knots of every row of y, the extrema plus
+    their boundary images, row r's positions shifted by r * 4n.
+
+    max_bounds and min_bounds list where each row's extrema start in
+    maxima and minima, and where the last row's end. Returns (ux, uy,
+    ustarts, lx, ly, lstarts): each envelope's knots of all rows,
+    concatenated, and the index where each row's knots start.
+    """
+    rows, n = y.shape
+    flat = y.ravel()
+    near = BOUNDARY_EXTREMA_COUNT + 1
+    # a row's knots lie in [-(n-2), 2n-3] and its samples in [0, n-1], so
+    # rows 4n apart never meet, and every position stays an exact integer
+    stride = 4 * n
+    end_x, end_v = ([], []), ([], [])
+    for r in range(rows):
+        # the extrema nearest each end: their distances from it and values
+        first, last = r * n, r * n + n - 1
+        a, b = max_bounds[r], max_bounds[r + 1]
+        head_max = maxima[a:min(b, a + near)].tolist()
+        tail_max = maxima[max(a, b - near):b].tolist()[::-1]
+        a, b = min_bounds[r], min_bounds[r + 1]
+        head_min = minima[a:min(b, a + near)].tolist()
+        tail_min = minima[max(a, b - near):b].tolist()[::-1]
+        left = _end_knots([i - first for i in head_max], [flat.item(i) for i in head_max],
+                          [i - first for i in head_min], [flat.item(i) for i in head_min],
+                          flat.item(first))
+        right = _end_knots([last - i for i in tail_max], [flat.item(i) for i in tail_max],
+                           [last - i for i in tail_min], [flat.item(i) for i in tail_min],
+                           flat.item(last))
+        base = r * stride
+        for side in (0, 1):
+            end_x[side].extend(base + o for o in left[2 * side])
+            end_x[side].extend(base + (n - 1) - o for o in right[2 * side])
+            end_v[side].extend(left[2 * side + 1] + right[2 * side + 1])
+
+    knots = []
+    for side, (ext, bounds) in enumerate(((maxima, max_bounds), (minima, min_bounds))):
+        # the extrema and the end knots of all rows, put in position order
+        shift = np.repeat(np.arange(rows) * (stride - n), np.diff(bounds))
+        x = np.concatenate((ext + shift, end_x[side])).astype(np.float64)
+        v = np.concatenate((flat[ext], end_v[side]))
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        knots += [x, v[order], np.searchsorted(x, np.arange(rows) * stride - n)]
+    return tuple(knots)
 
 
 def _envelope_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray):
-    """Upper and lower envelope knots, the extrema plus their boundary images."""
-    last = y.size - 1
-    near = BOUNDARY_EXTREMA_COUNT + 1
-    v_max, v_min = y[maxima], y[minima]
-    lux, luy, llx, lly = _end_knots(
-        maxima[:near], v_max[:near], minima[:near], v_min[:near], y[0]
-    )
-    rux, ruy, rlx, rly = _end_knots(
-        last - maxima[::-1][:near], v_max[::-1][:near],
-        last - minima[::-1][:near], v_min[::-1][:near], y[last],
-    )
-    ux = np.concatenate([lux[::-1], maxima, last - rux])
-    uy = np.concatenate([luy[::-1], v_max, ruy])
-    lx = np.concatenate([llx[::-1], minima, last - rlx])
-    ly = np.concatenate([lly[::-1], v_min, rly])
+    """Upper and lower envelope knots of one series, the extrema plus their
+    boundary images: (ux, uy, lx, ly)."""
+    ux, uy, _, lx, ly, _ = _block_knots(y[None], maxima, minima,
+                                        [0, maxima.size], [0, minima.size])
     return ux, uy, lx, ly
 
 
-def CubicSpline(x, y) -> PPoly:
-    """Natural cubic spline through the knots (x, y), x strictly increasing.
+def CubicSpline(x, y, starts=(0,)) -> PPoly:
+    """Natural cubic splines through consecutive blocks of knots (x, y).
 
+    Block r holds the knots from starts[r] up to the next start, at least
+    3, x strictly increasing over all blocks. One block is
     scipy.interpolate.CubicSpline(x, y, bc_type="natural") without its
     input checks: the same tridiagonal system for the knot slopes, solved
     by the same LAPACK dgtsv, the same Hermite coefficients and the same
     PPoly evaluator, every operation in scipy's order, so the envelopes
-    are bit-identical. The checks are not needed here: every iterate has
+    are bit-identical. Each block is solved on its own, as scipy solves
+    it: one shared block-diagonal solve would subtract 0 * (a neighbor's
+    entry) at each join, which turns a -0.0 into +0.0. The PPoly holds
+    each block's pieces, and its last piece reaches on to the next block,
+    so it evaluates as that block's own spline from its first knot to the
+    next block's. The checks are not needed here: every iterate has
     passed find_extrema's finite check and the knot rule gives at least 3
-    strictly increasing knots. The name is scipy's because tracers count
-    and time envelope spline builds by wrapping emd.CubicSpline.
+    strictly increasing knots per row. The name is scipy's because
+    tracers count and time envelope spline builds by wrapping
+    emd.CubicSpline.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    first = np.asarray(starts)
+    last = np.append(first[1:], x.size) - 1
     dx = np.diff(x)
     slope = np.diff(y) / dx
     d = np.empty(x.size)
@@ -151,18 +242,23 @@ def CubicSpline(x, y) -> PPoly:
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     # natural ends: scipy's rows for a zero second derivative, its 0.0
     # terms kept because they can change the sign of a zero
-    d[0], du[0] = 2 * dx[0], dx[0]
-    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
-    d[-1], dl[-1] = 2 * dx[-1], dx[-1]
-    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-    s = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3]
+    d[first], du[first] = 2 * dx[first], dx[first]
+    b[first] = -0.5 * 0.0 * dx[first] ** 2 + 3 * (y[first + 1] - y[first])
+    d[last], dl[last - 1] = 2 * dx[last - 1], dx[last - 1]
+    b[last] = 0.5 * 0.0 * dx[last - 1] ** 2 + 3 * (y[last] - y[last - 1])
+    s = np.concatenate([dgtsv(dl[i:j], d[i:j + 1], du[i:j], b[i:j + 1], 1, 1, 1, 1)[3]
+                        for i, j in zip(first.tolist(), last.tolist())])
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    # a block's last knot moves onto the next block's first, so its last
+    # piece reaches there and the join's piece is never used
+    x = x.copy()
+    x[last[:-1]] = x[first[1:]]
     return PPoly.construct_fast(c, x)
 
 
 def mean_envelope(samples, maxima, minima) -> np.ndarray:
-    """Half-sum of the upper and lower cubic-spline envelopes.
+    """Half-sum of the upper and lower cubic-spline envelopes, per row.
 
     Natural end conditions; BOUNDARY_EXTREMA_COUNT extrema are mirrored
     beyond each end before fitting so the splines never extrapolate over
@@ -176,22 +272,34 @@ def mean_envelope(samples, maxima, minima) -> np.ndarray:
     reach past it. An end sample outside the extrema thus bounds its
     envelope itself instead of lying outside both envelopes, which would
     make the sift subtract a spurious swing at the record end.
+
+    maxima and minima are find_extrema's indices: flat, for a (rows, n)
+    array. All rows' upper envelopes are one CubicSpline, and all lower
+    ones another.
     """
     y = np.asarray(samples, dtype=np.float64)
-    n = y.size
-    maxima = np.asarray(maxima, dtype=int)
-    minima = np.asarray(minima, dtype=int)
-    if maxima.size < 1 or minima.size < 1:
-        raise NotEnoughExtremaError(
-            f"envelopes need interior maxima and minima "
-            f"(got {maxima.size} maxima, {minima.size} minima)"
-        )
+    rows = y.reshape(-1, y.shape[-1])
+    n_rows, n = rows.shape
+    maxima = np.asarray(maxima, dtype=np.intp)
+    minima = np.asarray(minima, dtype=np.intp)
+    max_bounds = _row_bounds(maxima, n_rows, n).tolist()
+    min_bounds = _row_bounds(minima, n_rows, n).tolist()
+    for r in range(n_rows):
+        n_max = max_bounds[r + 1] - max_bounds[r]
+        n_min = min_bounds[r + 1] - min_bounds[r]
+        if n_max < 1 or n_min < 1:
+            raise NotEnoughExtremaError(
+                f"envelopes need interior maxima and minima "
+                f"(got {n_max} maxima, {n_min} minima)"
+            )
     # each end adds at least one knot to each envelope, so both have >= 3
-    ux, uy, lx, ly = _envelope_knots(y, maxima, minima)
-    grid = np.arange(n)
-    upper = CubicSpline(ux, uy)(grid)
-    lower = CubicSpline(lx, ly)(grid)
-    return (upper + lower) / 2.0
+    ux, uy, us, lx, ly, ls = _block_knots(rows, maxima, minima, max_bounds, min_bounds)
+    # sample positions of all rows in the knots' coordinates
+    grid = (np.arange(n_rows)[:, None] * (4.0 * n) + np.arange(n)).ravel()
+    mean = CubicSpline(ux, uy, us)(grid)
+    mean += CubicSpline(lx, ly, ls)(grid)
+    mean /= 2.0
+    return mean.reshape(y.shape)
 
 
 def _zero_crossings(y: np.ndarray) -> int:
@@ -206,8 +314,16 @@ def _is_imf_like(y: np.ndarray, n_extrema: int) -> bool:
     return abs(n_extrema - _zero_crossings(y)) <= 1
 
 
+def _drop_rows(flat: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices of the kept rows once the dropped ones are closed up."""
+    per_row = np.diff(_row_bounds(flat, keep.size, n))
+    dropped_before = np.arange(keep.size) - np.cumsum(keep) + 1
+    return (flat - np.repeat(dropped_before * n, per_row))[np.repeat(keep, per_row)]
+
+
 def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Sift one intrinsic mode function out of `samples`.
+    """Sift one intrinsic mode function out of `samples`, or out of each
+    row of a (rows, n) array.
 
     Iterates h <- h - mean_envelope(h); stops once the normalized squared
     change sum((h_prev - h)^2) / sum(h_prev^2) drops below
@@ -216,41 +332,100 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
     the iteration cap is hit. Returns (imf, proto_residue) with
     proto_residue = samples - imf.
 
-    Raises NotEnoughExtremaError if the input cannot be sifted even once.
+    The rows are sifted in lockstep, one mean_envelope call per pass for
+    all of them. A row stops on its own test, or once its iterate is all
+    zeros or has lost its maxima or minima, and then leaves the block:
+    the rows still sifting are kept at its front and updated in place.
+    Each row's sums stay 1-D dot products, so every row gets the IMF it
+    would get alone.
+
+    Raises NotEnoughExtremaError if an input row cannot be sifted even once.
     """
-    x = as_float_array(samples)
+    x = _as_rows(samples)
+    n_rows, n = x.shape
+    imf = np.empty_like(x)
     h = x.copy()
+    at = np.arange(n_rows)   # at[p]: the row whose iterate is h[p]
+    active = n_rows
+
+    def retire(done):
+        # the done rows' iterates are their IMFs; close up the others
+        nonlocal active
+        keep = ~done
+        imf[at[:active][done]] = h[:active][done]
+        kept = np.count_nonzero(keep)
+        at[:kept] = at[:active][keep]
+        h[:kept] = h[:active][keep]
+        active = kept
+        return keep
+
     # the extrema of each iterate serve both its IMF check and its envelope
     maxima, minima = find_extrema(h)
     for iteration in range(cfg.max_sift_iterations):
-        try:
-            m = mean_envelope(h, maxima, minima)
-        except NotEnoughExtremaError:
-            if iteration == 0:
-                raise
-            break   # too smooth to sift further; accept h as the IMF
-        denom = float(np.dot(h, h))
-        if denom == 0.0:
-            break
-        h = h - m
-        maxima, minima = find_extrema(h)
-        if float(np.dot(m, m)) / denom < SD_THRESHOLD:
-            if _is_imf_like(h, maxima.size + minima.size):
+        m = mean_envelope(h[:active], maxima, minima)
+        denom = np.array([np.dot(row, row) for row in h[:active]])
+        if not denom.all():
+            # an all-zero iterate is final
+            keep = retire(denom == 0.0)
+            m, denom = m[keep], denom[keep]
+            if not active:
                 break
-    return h, x - h
+        live = h[:active]
+        live -= m
+        maxima, minima = find_extrema(live)
+        n_max = np.diff(_row_bounds(maxima, active, n))
+        n_min = np.diff(_row_bounds(minima, active, n))
+        # too smooth to sift further: accept the iterate as the IMF
+        done = (n_max == 0) | (n_min == 0)
+        sd = np.array([np.dot(row, row) for row in m]) / denom
+        for p in np.flatnonzero(sd < SD_THRESHOLD):
+            done[p] |= _is_imf_like(live[p], n_max[p] + n_min[p])
+        if done.any() and iteration + 1 < cfg.max_sift_iterations:
+            keep = retire(done)
+            if not active:
+                break
+            maxima = _drop_rows(maxima, keep, n)
+            minima = _drop_rows(minima, keep, n)
+    imf[at[:active]] = h[:active]
+    if np.ndim(samples) == 1:
+        return imf[0], x[0] - imf[0]
+    return imf, x - imf
 
 
-def _decomposable(y: np.ndarray) -> bool:
+def _decomposable(y: np.ndarray):
     """True if the residue still carries an extractable oscillation: 3 or
-    more extrema, which alternate, so its first envelope always exists."""
-    if y.size < 3:
-        return False
-    maxima, minima = find_extrema(y)
-    return maxima.size + minima.size >= 3
+    more extrema, which alternate, so its first envelope always exists.
+    Per row for a (rows, n) array."""
+    rows = y.reshape(-1, y.shape[-1])
+    if rows.shape[1] < 3:
+        found = np.zeros(rows.shape[0], dtype=bool)
+    else:
+        maxima, minima = find_extrema(rows)
+        found = (np.diff(_row_bounds(maxima, *rows.shape))
+                 + np.diff(_row_bounds(minima, *rows.shape))) >= 3
+    return found if y.ndim == 2 else bool(found[0])
 
 
-def emd(signal: Signal, max_modes: int = DEFAULT_MAX_MODES) -> Decomposition:
-    """Empirical mode decomposition of `signal`.
+def _sift(x: np.ndarray, max_modes: int):
+    """The sift loop over the rows of x, at most _BATCH_SAMPLES samples or
+    one row: each row gives up a mode while it has 3 or more extrema, up
+    to max_modes. Returns ([(rows, imfs)] per mode, residues)."""
+    if x.shape[1] < 4:
+        raise InvalidSignalError(f"signal too short to decompose ({x.shape[1]} samples)")
+    residue = x.copy()
+    live = np.flatnonzero(_decomposable(residue))
+    modes = []
+    while len(modes) < max_modes and live.size:
+        imf, proto_residue = extract_imf(residue[live])
+        residue[live] = proto_residue
+        modes.append((live, imf))
+        live = live[_decomposable(proto_residue)]
+    return modes, residue
+
+
+def emd(signal, max_modes: int = DEFAULT_MAX_MODES):
+    """Empirical mode decomposition of `signal`, or of each row of a
+    (rows, n) array: one Decomposition, or a list of them in row order.
 
     Extracts IMFs from successive residues until the residue has fewer
     than 3 extrema (a monotone one has none) or `max_modes` is reached.
@@ -259,17 +434,24 @@ def emd(signal: Signal, max_modes: int = DEFAULT_MAX_MODES) -> Decomposition:
     """
     if max_modes < 1:
         raise InvalidConfigError(f"max_modes must be >= 1, got {max_modes}")
-    x = as_float_array(signal.samples)
-    if x.size < 4:
-        raise InvalidSignalError(f"signal too short to decompose ({x.size} samples)")
-    imfs: list[np.ndarray] = []
-    residue = x.copy()
-    while len(imfs) < max_modes and _decomposable(residue):
-        imf, residue = extract_imf(residue)
-        imfs.append(imf)
-    return Decomposition(imfs=imfs, residue=residue)
+    one = isinstance(signal, Signal)
+    x = signal.samples[None] if one else as_float_array(signal, ndim=2)
+    decs = []
+    for batch in _batches(*x.shape):
+        modes, residue = _sift(x[batch], max_modes)
+        imfs = [[] for _ in residue]
+        for live, imf in modes:
+            for row, mode in zip(live, imf):
+                imfs[row].append(mode)
+        decs += [Decomposition(imfs=i, residue=r) for i, r in zip(imfs, residue)]
+    return decs[0] if one else decs
 
 
 def local_mean_operator(samples) -> np.ndarray:
-    """M(x): the residue of a one-mode EMD of x; x itself when x has no mode."""
-    return emd(Signal(samples, sample_rate_hz=1.0), max_modes=1).residue
+    """M(x): the residue of a one-mode EMD of x, or of each row of a
+    (rows, n) array; a row with no mode is its own local mean."""
+    x = _as_rows(samples)
+    out = np.empty_like(x)
+    for batch in _batches(*x.shape):
+        out[batch] = _sift(x[batch], 1)[1]
+    return out if np.ndim(samples) == 2 else out[0]

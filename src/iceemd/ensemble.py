@@ -4,6 +4,11 @@ The residue recursion: at every stage a mode-filtered copy of the noise
 bank is added to the current residue, the ensemble-averaged local mean
 becomes the next residue, and the stage's IMF is the difference. One mode
 set for the whole ensemble, exact additive reconstruction by telescoping.
+
+The noise realizations and the ensemble members are sifted in lockstep,
+as (rows, n) batches of at most emd._BATCH_SAMPLES samples: one emd call
+per batch of realizations, one local_mean_operator call per batch of
+members.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import DEFAULT_MAX_MODES, _decomposable, emd, local_mean_operator
+from .emd import DEFAULT_MAX_MODES, _batches, _decomposable, emd, local_mean_operator
 from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, Signal, as_float_array
 
@@ -62,28 +67,36 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
     """
     if n < 4:
         raise InvalidSignalError(f"noise bank needs n >= 4, got {n}")
-    return [
-        emd(Signal(_realization(n, cfg.seed, i), sample_rate_hz=1.0),
-            max_modes=cfg.max_modes).imfs
-        for i in range(cfg.ensemble_size)
-    ]
+    bank = []
+    for batch in _batches(cfg.ensemble_size, n):
+        rows = np.array([_realization(n, cfg.seed, i) for i in range(batch.start, batch.stop)])
+        bank += [dec.imfs for dec in emd(rows, max_modes=cfg.max_modes)]
+    return bank
 
 
-def _ensemble_mean_local_mean(base: np.ndarray, scaled_noise: list) -> np.ndarray:
-    """Average of M(base + noise_i) over the ensemble, noise_i an array or 0.0.
+def _ensemble_mean_local_mean(base: np.ndarray, bank: list, k: int, beta: float) -> np.ndarray:
+    """Average of M(base + noise_i) over the ensemble: noise_i is
+    realization i's k-th mode scaled by beta (the first mode normalized to
+    unit std first), or 0.0 where the realization has no k-th mode.
 
     Determinism comes from the fixed member order of the sum; Kahan
     compensation bounds its rounding error, whatever the ensemble size.
     """
     acc = np.zeros_like(base)
     comp = np.zeros_like(base)
-    for noise in scaled_noise:
-        term = local_mean_operator(base + noise)
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc / len(scaled_noise)
+    for batch in _batches(len(bank), base.size):
+        members = np.empty((batch.stop - batch.start, base.size))
+        for row, modes in zip(members, bank[batch]):
+            noise = (0.0 if k >= len(modes)
+                     else beta * modes[0] / float(modes[0].std()) if k == 0
+                     else beta * modes[k])
+            np.add(base, noise, out=row)
+        for term in local_mean_operator(members):
+            y = term - comp
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
+    return acc / len(bank)
 
 
 def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposition:
@@ -122,15 +135,8 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < cfg.max_modes and _decomposable(residue):
-        k = len(imfs)
         beta = cfg.epsilon0 * float(residue.std())
-        scaled = [
-            0.0 if k >= len(modes)
-            else beta * modes[0] / float(modes[0].std()) if k == 0
-            else beta * modes[k]
-            for modes in bank
-        ]
-        next_residue = _ensemble_mean_local_mean(residue, scaled)
+        next_residue = _ensemble_mean_local_mean(residue, bank, len(imfs), beta)
         imfs.append(residue - next_residue)
         residue = next_residue
     return Decomposition(imfs=imfs, residue=residue, noise_floor=floor)

@@ -8,11 +8,11 @@ import numpy as np
 from .errors import InvalidSignalError
 
 
-def as_float_array(samples) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting non-finite values."""
+def as_float_array(samples, ndim: int = 1) -> np.ndarray:
+    """Coerce to a float64 array of `ndim` dimensions, rejecting non-finite values."""
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidSignalError(f"expected a 1-D sequence, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise InvalidSignalError(f"expected a {ndim}-D sequence, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidSignalError("samples contain NaN or Inf")
     return arr

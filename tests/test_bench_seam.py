@@ -29,13 +29,50 @@ print(json.dumps(stats))
 """
 
 
-def test_tracer_installs_and_counts_one_job():
+# ensemble 40 at n=1000 is more than one batch of members; the traced job
+# must give the untraced job's output bit for bit
+SPLIT_SCRIPT = """
+import hashlib
+import json
+from tracing import Tracer
+import iceemd.pipeline as pipeline
+from iceemd import EnsembleConfig, PipelineConfig, add_noise_snr, synth_signal
+
+def digest(result):
+    dec = result.decomposition_raw
+    parts = [result.output.samples, *dec.imfs, dec.residue]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+cfg = PipelineConfig(ensemble=EnsembleConfig(ensemble_size=40, seed=1))
+plain = pipeline.iceemd_de(noisy, cfg)
+tracer = Tracer()
+tracer.install()
+traced, _, stats = tracer.job(pipeline.iceemd_de, noisy, cfg)
+stats["same_output"] = digest(traced) == digest(plain)
+stats["stages"] = traced.decomposition_raw.n_imfs
+print(json.dumps(stats))
+"""
+
+
+def run_traced(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+        [sys.executable, "-c", script], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    stats = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_and_counts_one_job():
+    stats = run_traced(SCRIPT)
     assert stats["emd.spline_builds"] == 2 * stats["emd.sift_iterations"] > 0
     assert stats["ensemble.local_mean_calls"] > 0
+
+
+def test_traced_job_across_batches_matches_untraced():
+    stats = run_traced(SPLIT_SCRIPT)
+    assert stats["same_output"]
+    assert stats["emd.spline_builds"] == 2 * stats["emd.sift_iterations"] > 0
+    assert stats["ensemble.local_mean_calls"] >= stats["stages"] > 0

@@ -1,4 +1,6 @@
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from iceemd import (
     local_mean_operator,
     mean_envelope,
 )
-from iceemd.ensemble import generate_noise_bank
+from iceemd.ensemble import _realization, generate_noise_bank
 from iceemd.signals import dominant_frequency
 
 from sift_oracle import emd_reference
@@ -163,6 +165,35 @@ class TestNaturalSpline:
         assert ours.c.tobytes() == ref.c.tobytes()
         assert ours(grid).tobytes() == ref(grid).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(spline_knots, min_size=1, max_size=6))
+    @example([(0, np.array([1, 3, 1]), np.array([-1.0, -0.0, 1.0, -0.0]), 0),
+              (0, np.array([3, 4, 3, 4]), np.array([0.0, -0.0, -0.0, 0.0, 0.0]), 0)])
+    @example([(0, np.array([1, 5, 2]), np.array([1.0, -2.0, 3.0, 0.5]), 6),
+              (0, np.array([60, 1, 1]), np.array([5e-324, 1e300, -0.0, 2.0]), 0),
+              (0, np.array([2, 40, 3, 1]), np.array([0.0, -1e-310, 7.0, -3.0, 1.0]), 4)])
+    def test_blocks_equal_scipy_natural_splines_bit_for_bit(self, blocks):
+        # consecutive blocks of very different sizes in one call; each must
+        # be scipy's natural spline of its own knots, from its first knot to
+        # `beyond` samples past its last. The first example is a -0.0 in a
+        # block's first right-hand side after a block whose eliminated last
+        # entry is negative: one dgtsv solve shared by both blocks would
+        # turn it into +0.0 and change that block's slopes
+        xs, ys, grids, starts = [], [], [], []
+        at = 0
+        for start, gaps, y, beyond in blocks:
+            x = at + start + 200 + np.concatenate(([0], np.cumsum(gaps)))
+            starts.append(sum(k.size for k in xs))
+            xs.append(x)
+            ys.append(y)
+            grids.append(np.arange(x[0], x[-1] + beyond + 1))
+            at = x[-1] + beyond + 1
+        ours = emd_module.CubicSpline(np.concatenate(xs), np.concatenate(ys), starts)
+        for x, y, grid, first in zip(xs, ys, grids, starts):
+            ref = ScipyCubicSpline(x, y, bc_type="natural")
+            assert ours.c[:, first:first + x.size - 1].tobytes() == ref.c.tobytes()
+            assert ours(grid).tobytes() == ref(grid).tobytes()
+
 
 @st.composite
 def uneven_extrema(draw, n):
@@ -205,6 +236,196 @@ class TestSiftOracle:
     def test_local_mean_equals_oracle_bit_for_bit(self, y):
         _, residue = emd_reference(y, max_modes=1)
         assert local_mean_operator(y).tobytes() == residue.tobytes()
+
+
+# found by searching short piecewise-linear series: one pass leaves its
+# iterate without an interior maximum, so its sift stops there
+LOSES_EXTREMA = np.array([-5.2, -4.8, -4.3, -16.4, 11.5, 9.7])
+
+
+@st.composite
+def sift_batches(draw):
+    """(rows, n) batches of 1-12 rows of 8-200 samples, each row of its own
+    kind and scale: random walks, integer levels with plateaus, unevenly
+    spaced extrema, and constants and ramps (no mode at all), at 1e-170
+    (whose squared sums are 0), 1e-100, 1 and 1e100."""
+    n = draw(st.integers(8, 200))
+    kind = st.one_of(
+        arrays(np.float64, n, elements=st.floats(-1.0, 1.0)).map(np.cumsum),
+        arrays(np.int64, n, elements=st.integers(-3, 3)).map(lambda a: a.astype(float)),
+        uneven_extrema(n),
+        st.floats(-1e3, 1e3).map(lambda c: np.full(n, c)),
+        arrays(np.float64, n, elements=st.floats(0.0, 1e3)).map(np.cumsum),
+    )
+    scale = st.sampled_from([1e-170, 1e-100, 1.0, 1e100])
+    rows = draw(st.lists(st.tuples(kind, scale), min_size=1, max_size=12))
+    return np.array([row * c for row, c in rows])
+
+
+def batch_cap(rows_per_batch, n):
+    """A batch size in samples: that many rows, or the package's (0)."""
+    return rows_per_batch * n or emd_module._BATCH_SAMPLES
+
+
+class TestBatches:
+    """Rows sifted together equal the same rows sifted alone, as bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sift_batches(), st.integers(1, 12), st.sampled_from([1, 2, 5, 0]))
+    def test_rows_equal_single_rows_bit_for_bit(self, rows, max_modes, per_batch):
+        with mock.patch.object(emd_module, "_BATCH_SAMPLES", batch_cap(per_batch, rows.shape[1])):
+            decs = emd(rows, max_modes=max_modes)
+            means = local_mean_operator(rows)
+        assert len(decs) == rows.shape[0] and means.shape == rows.shape
+        for row, dec, mean in zip(rows, decs, means):
+            one = emd(Signal(row, FS), max_modes=max_modes)
+            assert len(dec.imfs) == len(one.imfs)
+            for got, want in zip(dec.imfs, one.imfs):
+                assert got.tobytes() == want.tobytes()
+            assert dec.residue.tobytes() == one.residue.tobytes()
+            assert mean.tobytes() == local_mean_operator(row).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sift_batches(), st.integers(1, 6))
+    def test_sift_rows_equal_single_rows_under_any_cap(self, rows, cap):
+        # rows stop after different pass counts, and some hit the cap
+        rows = rows[[emd_module._decomposable(row) for row in rows]]
+        assume(rows.shape[0] > 0)
+        cfg = SiftConfig(max_sift_iterations=cap)
+        imfs, proto_residues = extract_imf(rows, cfg)
+        for row, imf, proto_residue in zip(rows, imfs, proto_residues):
+            want, want_proto = extract_imf(row, cfg)
+            assert imf.tobytes() == want.tobytes()
+            assert proto_residue.tobytes() == want_proto.tobytes()
+
+    def test_row_that_loses_its_extrema(self):
+        maxima, minima = find_extrema(extract_imf(LOSES_EXTREMA, SiftConfig(1))[0])
+        assert maxima.size == 0 or minima.size == 0
+        rows = np.array([[0.0, 1, 0, 1, 0, 1], LOSES_EXTREMA, [3.0, 1, 4, 1, 5, 9],
+                         LOSES_EXTREMA[::-1]])
+        imfs, _ = extract_imf(rows)
+        for row, imf in zip(rows, imfs):
+            assert imf.tobytes() == extract_imf(row)[0].tobytes()
+
+    def test_undecomposable_row_fails_the_batch(self):
+        rows = np.array([sine(20, n=64), np.linspace(0, 1, 64)])
+        with pytest.raises(NotEnoughExtremaError):
+            extract_imf(rows)
+
+    def test_batches_split_at_the_sample_cap(self):
+        n = 1000
+        rows = np.array([_realization(n, 3, i)
+                         for i in range(emd_module._BATCH_SAMPLES // n + 3)])
+        assert len(emd_module._batches(*rows.shape)) == 2
+        decs = emd(rows)
+        means = local_mean_operator(rows)
+        for row, dec, mean in zip(rows, decs, means):
+            one = emd(Signal(row, FS))
+            assert [imf.tobytes() for imf in dec.imfs] == [imf.tobytes() for imf in one.imfs]
+            assert dec.residue.tobytes() == one.residue.tobytes()
+            assert mean.tobytes() == local_mean_operator(row).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 300), st.integers(1, 5), st.integers(1, 12),
+           st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 0]))
+    def test_noise_bank_equals_single_realizations(self, n, size, max_modes, seed, per_batch):
+        cfg = EnsembleConfig(ensemble_size=size, seed=seed, max_modes=max_modes)
+        with mock.patch.object(emd_module, "_BATCH_SAMPLES", batch_cap(per_batch, n)):
+            bank = generate_noise_bank(n, cfg)
+        assert len(bank) == size
+        for i, modes in enumerate(bank):
+            want = emd(Signal(_realization(n, seed, i), 1.0), max_modes=max_modes).imfs
+            assert [m.tobytes() for m in modes] == [m.tobytes() for m in want]
+
+    def test_local_mean_memory_does_not_grow_with_rows(self):
+        # working memory is one batch's, however many rows come in
+        def peak(rows):
+            x = np.array([_realization(1000, 1, i) for i in range(rows)])
+            tracemalloc.start()
+            try:
+                out = local_mean_operator(x)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(256) - peak(64)) < 2**20
+
+
+def reference_end_knots(d_max, v_max, d_min, v_min, y_end):
+    """mean_envelope's knot rule at one end, on numpy arrays: the offsets
+    and values of the upper, then the lower, envelope's added knots."""
+    count = emd_module.BOUNDARY_EXTREMA_COUNT
+    max_first = d_max[0] < d_min[0]
+    if max_first and y_end <= v_min[0]:
+        return (-d_max[:count], v_max[:count],
+                np.concatenate(([0], -d_min[:count - 1])),
+                np.concatenate(([y_end], v_min[:count - 1])))
+    if not max_first and y_end >= v_max[0]:
+        return (np.concatenate(([0], -d_max[:count - 1])),
+                np.concatenate(([y_end], v_max[:count - 1])),
+                -d_min[:count], v_min[:count])
+    sym = min(d_max[0], d_min[0])
+    skip_max, skip_min = (1, 0) if max_first else (0, 1)
+    o_max = 2 * sym - d_max[skip_max:skip_max + count]
+    o_min = 2 * sym - d_min[skip_min:skip_min + count]
+    if o_max.size and o_min.size and o_max[-1] <= 0 and o_min[-1] <= 0:
+        return (o_max, v_max[skip_max:skip_max + count],
+                o_min, v_min[skip_min:skip_min + count])
+    return -d_max[:count], v_max[:count], -d_min[:count], v_min[:count]
+
+
+def reference_envelope_knots(y, maxima, minima):
+    """(ux, uy, lx, ly) of one series by the knot rule, as float64."""
+    last = y.size - 1
+    near = emd_module.BOUNDARY_EXTREMA_COUNT + 1
+    v_max, v_min = y[maxima], y[minima]
+    lux, luy, llx, lly = reference_end_knots(
+        maxima[:near], v_max[:near], minima[:near], v_min[:near], y[0])
+    rux, ruy, rlx, rly = reference_end_knots(
+        last - maxima[::-1][:near], v_max[::-1][:near],
+        last - minima[::-1][:near], v_min[::-1][:near], y[last])
+    knots = (np.concatenate([lux[::-1], maxima, last - rux]),
+             np.concatenate([luy[::-1], v_max, ruy]),
+             np.concatenate([llx[::-1], minima, last - rlx]),
+             np.concatenate([lly[::-1], v_min, rly]))
+    return tuple(k.astype(np.float64) for k in knots)
+
+
+class TestEnvelopeKnots:
+    """The package's knots, one row or many, equal the knot rule restated
+    on numpy arrays, as bytes. The sift oracle borrows _envelope_knots, so
+    this is what checks the knots themselves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sift_series)
+    def test_one_row_equals_reference(self, y):
+        maxima, minima = find_extrema(y)
+        assume(maxima.size and minima.size)
+        got = emd_module._envelope_knots(y, maxima, minima)
+        want = reference_envelope_knots(y, maxima, minima)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(sift_batches())
+    def test_each_row_equals_reference(self, rows):
+        # row r's knot positions are shifted by r * 4n
+        rows = rows[[all(e.size for e in find_extrema(row)) for row in rows]]
+        assume(rows.shape[0] > 0)
+        n = rows.shape[1]
+        maxima, minima = find_extrema(rows)
+        ux, uy, us, lx, ly, ls = emd_module._block_knots(
+            rows, maxima, minima,
+            emd_module._row_bounds(maxima, *rows.shape).tolist(),
+            emd_module._row_bounds(minima, *rows.shape).tolist())
+        us, ls = np.append(us, ux.size), np.append(ls, lx.size)
+        for r, row in enumerate(rows):
+            wux, wuy, wlx, wly = reference_envelope_knots(row, *find_extrema(row))
+            upper, lower = slice(us[r], us[r + 1]), slice(ls[r], ls[r + 1])
+            assert ux[upper].tobytes() == (wux + r * 4 * n).tobytes()
+            assert uy[upper].tobytes() == wuy.tobytes()
+            assert lx[lower].tobytes() == (wlx + r * 4 * n).tobytes()
+            assert ly[lower].tobytes() == wly.tobytes()
 
 
 class TestExtractImf:

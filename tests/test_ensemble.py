@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +18,12 @@ from iceemd import (
     local_mean_operator,
 )
 from iceemd.ensemble import _realization
-from iceemd.signals import dominant_frequency, synth_signal
+from iceemd.signals import add_noise_snr, dominant_frequency, synth_signal
 
 from iceemd_oracle import iceemd_reference
+
+# iceemd/__init__ rebinds the name `emd` to the function
+emd_module = sys.modules["iceemd.emd"]
 
 FS = 1000.0
 
@@ -169,6 +175,37 @@ class TestIceemd:
             EnsembleConfig(epsilon0=0.0)
         with pytest.raises(ValueError):
             EnsembleConfig(seed=-1)
+
+
+class TestLockstep:
+    """The ensemble sifts its members in batches, within a memory bound."""
+
+    def test_envelopes_are_built_per_batch(self, monkeypatch):
+        # one mean_envelope call per pass of a batch: sifting each member
+        # on its own makes about 2,400 on this run
+        calls = []
+        mean_envelope = emd_module.mean_envelope
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return mean_envelope(*args, **kwargs)
+
+        monkeypatch.setattr(emd_module, "mean_envelope", counted)
+        noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+        iceemd(noisy, EnsembleConfig(ensemble_size=50, seed=1))
+        assert 0 < len(calls) < 600
+
+    def test_peak_memory(self):
+        noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+        cfg = EnsembleConfig(ensemble_size=50, seed=1)
+        iceemd(Signal(noisy.samples[:100], FS), EnsembleConfig(ensemble_size=2))
+        tracemalloc.start()
+        try:
+            iceemd(noisy, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2**20
 
 
 def _oracle_inputs():
