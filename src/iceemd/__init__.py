@@ -5,15 +5,8 @@ improved complete ensemble EMD, ranks the modes by approximate entropy,
 and soft-threshold denoises the noise-dominated ones in the wavelet
 domain before reconstruction.
 """
-from .emd import (
-    SiftConfig,
-    emd,
-    extract_imf,
-    find_extrema,
-    local_mean_operator,
-    mean_envelope,
-)
-from .ensemble import EnsembleConfig, generate_noise_bank, iceemd
+from .emd import emd
+from .ensemble import EnsembleConfig, iceemd
 from .entropy import (
     ApEnConfig,
     ApEnReport,
@@ -72,7 +65,6 @@ __all__ = [
     "InvalidSignalError",
     "NotEnoughExtremaError",
     "PipelineConfig",
-    "SiftConfig",
     "Signal",
     "SignalFormatError",
     "Spectrum",
@@ -85,14 +77,9 @@ __all__ = [
     "dominant_frequency",
     "dwt",
     "emd",
-    "extract_imf",
-    "find_extrema",
-    "generate_noise_bank",
     "iceemd",
     "iceemd_de",
     "idwt",
-    "local_mean_operator",
-    "mean_envelope",
     "rmse",
     "snr",
     "soft_threshold",

@@ -198,14 +198,6 @@ def _block_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray,
     return tuple(knots)
 
 
-def _envelope_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray):
-    """Upper and lower envelope knots of one series, the extrema plus their
-    boundary images: (ux, uy, lx, ly)."""
-    ux, uy, _, lx, ly, _ = _block_knots(y[None], maxima, minima,
-                                        [0, maxima.size], [0, minima.size])
-    return ux, uy, lx, ly
-
-
 def CubicSpline(x, y, starts=(0,)) -> PPoly:
     """Natural cubic splines through consecutive blocks of knots (x, y).
 

@@ -9,6 +9,14 @@ The noise realizations and the ensemble members are sifted in lockstep,
 as (rows, n) batches of at most emd._BATCH_SAMPLES samples: one emd call
 per batch of realizations, one local_mean_operator call per batch of
 members.
+
+iceemd keeps the last noise bank it used and reuses it for the same
+(n, seed, ensemble size, max modes): the bank is built before any
+scaling, so epsilon0 is not part of the key. A campaign that
+decomposes many records of one length with one seed in one process
+builds the bank once. A new seed or length drops the old bank before
+the new one is built, so two banks are never alive at once. A CLI
+`denoise` run decomposes one record per process and gains nothing.
 """
 from __future__ import annotations
 
@@ -74,6 +82,26 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
     return bank
 
 
+# iceemd's last noise bank, by (n, seed, ensemble_size, max_modes), its
+# modes read-only. One entry, cleared before a miss builds, so two banks
+# are never alive at once (lru_cache(maxsize=1) builds first, evicts after).
+_last_bank: dict[tuple, list[list[np.ndarray]]] = {}
+
+
+def _noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
+    """generate_noise_bank(n, cfg), reused while the key stays the same."""
+    key = (n, cfg.seed, cfg.ensemble_size, cfg.max_modes)
+    bank = _last_bank.get(key)
+    if bank is None:
+        _last_bank.clear()
+        bank = generate_noise_bank(n, cfg)
+        for modes in bank:
+            for mode in modes:
+                mode.flags.writeable = False
+        _last_bank[key] = bank
+    return bank
+
+
 def _ensemble_mean_local_mean(base: np.ndarray, bank: list, k: int, beta: float) -> np.ndarray:
     """Average of M(base + noise_i) over the ensemble: noise_i is
     realization i's k-th mode scaled by beta (the first mode normalized to
@@ -118,6 +146,11 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     An input whose standard deviation overflows float64 (samples spread
     beyond about 1e154) raises InvalidSignalError before the noise bank is
     built: its noise scale would be infinite.
+
+    The noise bank is reused from the previous call when n, seed,
+    ensemble_size and max_modes are the same (epsilon0 may differ), so a
+    campaign of same-length records with one seed builds it once per
+    process; a new seed or length drops the old bank before building.
     """
     x = as_float_array(signal.samples)
     if x.size < 4:
@@ -131,7 +164,7 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
         )
     floor = cfg.epsilon0 * sd / np.sqrt(cfg.ensemble_size)
 
-    bank = generate_noise_bank(x.size, cfg)
+    bank = _noise_bank(x.size, cfg)
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < cfg.max_modes and _decomposable(residue):

@@ -27,7 +27,7 @@ from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, as_float_array
 
 # Sorted rows per block: working memory is _BLOCK times the window width.
-_BLOCK = 64
+_BLOCK = 32
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ iceemd.emd makes, so the two agree bit for bit:
 
 - extrema are found by a loop over runs of equal samples; a plateau
   extremum sits at its middle index, left-middle for even length;
-- envelope knots follow the package's boundary rule, _envelope_knots;
+- envelope knots follow the package's boundary rule, _block_knots;
 - envelopes are scipy's CubicSpline with natural end conditions;
 - an iterate h is replaced by h - m, m the half-sum of its envelopes,
   until sum(m^2) / sum(h^2) < 0.2 and the new iterate's extrema and
@@ -18,7 +18,7 @@ loops are restated here.
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from iceemd.emd import _envelope_knots
+from iceemd.emd import _block_knots
 
 
 def find_extrema(y):
@@ -52,7 +52,8 @@ def sift(x):
     for _ in range(100):
         if maxima.size == 0 or minima.size == 0:
             break
-        ux, uy, lx, ly = _envelope_knots(h, maxima, minima)
+        ux, uy, _, lx, ly, _ = _block_knots(h[None], maxima, minima,
+                                            [0, maxima.size], [0, minima.size])
         grid = np.arange(h.size)
         upper = CubicSpline(ux, uy, bc_type="natural")(grid)
         lower = CubicSpline(lx, ly, bc_type="natural")(grid)

@@ -14,9 +14,11 @@ from iceemd import (
     InvalidConfigError,
     InvalidSignalError,
     NotEnoughExtremaError,
-    SiftConfig,
     Signal,
     emd,
+)
+from iceemd.emd import (
+    SiftConfig,
     extract_imf,
     find_extrema,
     local_mean_operator,
@@ -128,7 +130,8 @@ class TestMeanEnvelope:
     def test_every_envelope_has_three_increasing_knots(self, y):
         maxima, minima = find_extrema(y)
         assume(maxima.size >= 1 and minima.size >= 1)
-        ux, _, lx, _ = emd_module._envelope_knots(y, maxima, minima)
+        ux, _, _, lx, _, _ = emd_module._block_knots(
+            y[None], maxima, minima, [0, maxima.size], [0, minima.size])
         for knots in (ux, lx):
             assert knots.size >= 3
             assert np.all(np.diff(knots) > 0)
@@ -393,7 +396,7 @@ def reference_envelope_knots(y, maxima, minima):
 
 class TestEnvelopeKnots:
     """The package's knots, one row or many, equal the knot rule restated
-    on numpy arrays, as bytes. The sift oracle borrows _envelope_knots, so
+    on numpy arrays, as bytes. The sift oracle borrows _block_knots, so
     this is what checks the knots themselves."""
 
     @settings(max_examples=300, deadline=None)
@@ -401,7 +404,9 @@ class TestEnvelopeKnots:
     def test_one_row_equals_reference(self, y):
         maxima, minima = find_extrema(y)
         assume(maxima.size and minima.size)
-        got = emd_module._envelope_knots(y, maxima, minima)
+        ux, uy, _, lx, ly, _ = emd_module._block_knots(
+            y[None], maxima, minima, [0, maxima.size], [0, minima.size])
+        got = ux, uy, lx, ly
         want = reference_envelope_knots(y, maxima, minima)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()

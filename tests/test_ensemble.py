@@ -1,5 +1,7 @@
 import sys
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,17 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from iceemd import (
-    EnsembleConfig,
-    InvalidSignalError,
-    Signal,
-    emd,
-    extract_imf,
-    generate_noise_bank,
-    iceemd,
-    local_mean_operator,
-)
-from iceemd.ensemble import _realization
+import iceemd.ensemble as ensemble_module
+from iceemd import EnsembleConfig, InvalidSignalError, Signal, emd, iceemd
+from iceemd.emd import extract_imf, local_mean_operator
+from iceemd.ensemble import _realization, generate_noise_bank
 from iceemd.signals import add_noise_snr, dominant_frequency, synth_signal
 
 from iceemd_oracle import iceemd_reference
@@ -206,6 +201,93 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak < 6.5 * 2**20
+
+
+def _key(n, cfg):
+    return n, cfg.seed, cfg.ensemble_size, cfg.max_modes
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty bank cache, and the key of every bank built from here on."""
+    monkeypatch.setattr(ensemble_module, "_last_bank", {})
+    keys = []
+    build = ensemble_module.generate_noise_bank
+
+    def counted(n, cfg):
+        keys.append(_key(n, cfg))
+        return build(n, cfg)
+
+    monkeypatch.setattr(ensemble_module, "generate_noise_bank", counted)
+    return keys
+
+
+class TestBankCache:
+    """iceemd reuses its last noise bank for the same (n, seed,
+    ensemble_size, max_modes), and holds one bank at most."""
+
+    def test_second_record_equals_cold_run_and_reference(self, builds):
+        cfg = EnsembleConfig(ensemble_size=3, seed=4)
+        first = add_noise_snr(Signal(two_tone(n=600), FS), 5.0, seed=1)
+        second = add_noise_snr(Signal(two_tone(n=600), FS), 5.0, seed=2)
+        iceemd(first, cfg)
+        warm = iceemd(second, cfg)
+        assert builds == [_key(600, cfg)]
+        ensemble_module._last_bank.clear()
+        cold = iceemd(second, cfg)
+        assert builds == [_key(600, cfg)] * 2
+        imfs, residue = iceemd_reference(second.samples, cfg)
+        assert len(warm.imfs) == len(cold.imfs) == len(imfs)
+        for w, c, r in zip([*warm.imfs, warm.residue], [*cold.imfs, cold.residue],
+                           [*imfs, residue]):
+            assert w.tobytes() == c.tobytes() == r.tobytes()
+
+    def test_epsilon0_shares_the_bank(self, builds):
+        sig = Signal(two_tone(n=400), FS)
+        iceemd(sig, EnsembleConfig(ensemble_size=2, seed=1, epsilon0=0.2))
+        cfg = EnsembleConfig(ensemble_size=2, seed=1, epsilon0=0.05)
+        dec = iceemd(sig, cfg)
+        assert builds == [_key(400, cfg)]
+        imfs, residue = iceemd_reference(sig.samples, cfg)
+        assert [i.tobytes() for i in dec.imfs] == [i.tobytes() for i in imfs]
+        assert dec.residue.tobytes() == residue.tobytes()
+
+    @pytest.mark.parametrize("n, change", [
+        (399, {}), (400, {"seed": 2}), (400, {"ensemble_size": 3}), (400, {"max_modes": 4})],
+        ids=["n", "seed", "ensemble_size", "max_modes"])
+    def test_any_key_change_rebuilds(self, builds, n, change):
+        base = EnsembleConfig(ensemble_size=2, seed=1)
+        runs = [(400, base), (n, replace(base, **change)), (400, base)]
+        for size, cfg in runs:
+            iceemd(Signal(two_tone(n=size), FS), cfg)
+        assert builds == [_key(size, cfg) for size, cfg in runs]
+
+    def test_cached_modes_are_read_only(self, builds):
+        iceemd(Signal(two_tone(n=400), FS), EnsembleConfig(ensemble_size=2, seed=1))
+        (bank,) = ensemble_module._last_bank.values()
+        modes = [mode for realization in bank for mode in realization]
+        assert modes
+        for mode in modes:
+            with pytest.raises(ValueError):
+                mode[0] = 1.0
+
+    def test_miss_releases_the_old_bank_before_building(self, monkeypatch):
+        monkeypatch.setattr(ensemble_module, "_last_bank", {})
+        build = ensemble_module.generate_noise_bank
+        old_modes, alive_at_entry = [], []
+
+        def watched(n, cfg):
+            alive_at_entry.append([ref() is not None for ref in old_modes])
+            bank = build(n, cfg)
+            old_modes.append(weakref.ref(bank[0][0]))
+            return bank
+
+        monkeypatch.setattr(ensemble_module, "generate_noise_bank", watched)
+        sig = Signal(two_tone(n=400), FS)
+        iceemd(sig, EnsembleConfig(ensemble_size=2, seed=1))
+        assert old_modes[0]() is not None  # the cache holds it
+        iceemd(sig, EnsembleConfig(ensemble_size=2, seed=2))
+        assert alive_at_entry == [[], [False]]
 
 
 def _oracle_inputs():

@@ -44,6 +44,8 @@ def hooked(monkeypatch):
     """Counting wrappers on every hooked name; extract_imf's fills in and
     forwards a SiftConfig the way the tracer's does."""
     calls = {f"{module.__name__}.{name}": 0 for module, name in HOOKS}
+    # an empty bank cache, so the noise bank is built whatever ran before
+    monkeypatch.setattr(ensemble, "_last_bank", {})
 
     for module, name in HOOKS:
         fn = getattr(module, name)
