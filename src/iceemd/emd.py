@@ -7,11 +7,13 @@ M the ensemble recursion is built from (M(x) = x minus the first IMF of x).
 Every layer takes a (rows, n) array, a 1-D input being one row, and
 treats each row exactly as it would treat that row alone, so every
 output is bit-identical to a row-by-row run. Rows that stop sifting
-leave the block; the others go on. emd and local_mean_operator take at
-most _BATCH_SAMPLES samples at a time. The envelopes of all rows are one
-piecewise cubic per side, a block per row, each block solved by LAPACK's
-tridiagonal solver and bit-identical to scipy's
-CubicSpline(bc_type="natural") of that row's knots.
+leave the block; the others go on. emd and local_mean_operator take any
+number of rows and sift at most _BATCH_SAMPLES samples at a time: this
+module alone splits rows into batches, so a caller hands over all its
+rows in one call. The envelopes of all rows are one piecewise cubic per
+side, a block per row, each block solved by LAPACK's tridiagonal solver
+and bit-identical to scipy's CubicSpline(bc_type="natural") of that
+row's knots.
 """
 from __future__ import annotations
 
@@ -36,10 +38,10 @@ SD_THRESHOLD = 0.2
 # mean_envelope)
 BOUNDARY_EXTREMA_COUNT = 2
 
-# Samples sifted together at most: emd, local_mean_operator and the
-# ensemble split their rows into batches of at most this many samples
-# (one row where a row is longer), so the sift's working memory does not
-# grow with the number of rows
+# Samples sifted together at most: emd and local_mean_operator split
+# their rows into batches of at most this many samples (one row where a
+# row is longer), so the sift's working memory does not grow with the
+# number of rows
 _BATCH_SAMPLES = 16384
 
 
@@ -325,60 +327,45 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
     proto_residue = samples - imf.
 
     The rows are sifted in lockstep, one mean_envelope call per pass for
-    all of them. A row stops on its own test, or once its iterate is all
-    zeros or has lost its maxima or minima, and then leaves the block:
-    the rows still sifting are kept at its front and updated in place.
-    Each row's sums stay 1-D dot products, so every row gets the IMF it
-    would get alone.
+    all of them. A row stops on its own test, or once its iterate has
+    lost its maxima or minima, or once its squares sum to 0 (samples so
+    small that they underflow, like 1e-170), where the change has no
+    norm: that iterate is not stepped and is its IMF. A row that stops
+    leaves the block. Each row's sums stay 1-D dot products, so every
+    row gets the IMF it would get alone.
 
     Raises NotEnoughExtremaError if an input row cannot be sifted even once.
     """
     x = _as_rows(samples)
-    n_rows, n = x.shape
+    n = x.shape[1]
     imf = np.empty_like(x)
-    h = x.copy()
-    at = np.arange(n_rows)   # at[p]: the row whose iterate is h[p]
-    active = n_rows
-
-    def retire(done):
-        # the done rows' iterates are their IMFs; close up the others
-        nonlocal active
-        keep = ~done
-        imf[at[:active][done]] = h[:active][done]
-        kept = np.count_nonzero(keep)
-        at[:kept] = at[:active][keep]
-        h[:kept] = h[:active][keep]
-        active = kept
-        return keep
-
+    live = x.copy()              # the iterates of the rows still sifting
+    rows = np.arange(x.shape[0])  # and the input rows they belong to
     # the extrema of each iterate serve both its IMF check and its envelope
-    maxima, minima = find_extrema(h)
-    for iteration in range(cfg.max_sift_iterations):
-        m = mean_envelope(h[:active], maxima, minima)
-        denom = np.array([np.dot(row, row) for row in h[:active]])
-        if not denom.all():
-            # an all-zero iterate is final
-            keep = retire(denom == 0.0)
-            m, denom = m[keep], denom[keep]
-            if not active:
-                break
-        live = h[:active]
-        live -= m
+    maxima, minima = find_extrema(live)
+    for _ in range(cfg.max_sift_iterations):
+        m = mean_envelope(live, maxima, minima)
+        denom = np.array([np.dot(row, row) for row in live])
+        moving = denom != 0.0
+        np.subtract(live, m, out=live, where=moving[:, None])
         maxima, minima = find_extrema(live)
-        n_max = np.diff(_row_bounds(maxima, active, n))
-        n_min = np.diff(_row_bounds(minima, active, n))
-        # too smooth to sift further: accept the iterate as the IMF
-        done = (n_max == 0) | (n_min == 0)
-        sd = np.array([np.dot(row, row) for row in m]) / denom
-        for p in np.flatnonzero(sd < SD_THRESHOLD):
-            done[p] |= _is_imf_like(live[p], n_max[p] + n_min[p])
-        if done.any() and iteration + 1 < cfg.max_sift_iterations:
-            keep = retire(done)
-            if not active:
+        n_max = np.diff(_row_bounds(maxima, rows.size, n))
+        n_min = np.diff(_row_bounds(minima, rows.size, n))
+        # an iterate whose squares underflow to 0 has no SD, and one too
+        # smooth to sift further is done: accept it as the IMF
+        done = ~moving | (n_max == 0) | (n_min == 0)
+        for p in np.flatnonzero(~done):
+            sd = np.dot(m[p], m[p]) / denom[p]
+            done[p] = sd < SD_THRESHOLD and _is_imf_like(live[p], n_max[p] + n_min[p])
+        if done.any():
+            imf[rows[done]] = live[done]
+            keep = ~done
+            live, rows = live[keep], rows[keep]
+            if not rows.size:
                 break
             maxima = _drop_rows(maxima, keep, n)
             minima = _drop_rows(minima, keep, n)
-    imf[at[:active]] = h[:active]
+    imf[rows] = live
     if np.ndim(samples) == 1:
         return imf[0], x[0] - imf[0]
     return imf, x - imf
@@ -387,32 +374,34 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
 def _decomposable(y: np.ndarray):
     """True if the residue still carries an extractable oscillation: 3 or
     more extrema, which alternate, so its first envelope always exists.
-    Per row for a (rows, n) array."""
+    Per row for a (rows, n) array; n must be 3 or more."""
     rows = y.reshape(-1, y.shape[-1])
-    if rows.shape[1] < 3:
-        found = np.zeros(rows.shape[0], dtype=bool)
-    else:
-        maxima, minima = find_extrema(rows)
-        found = (np.diff(_row_bounds(maxima, *rows.shape))
-                 + np.diff(_row_bounds(minima, *rows.shape))) >= 3
+    maxima, minima = find_extrema(rows)
+    found = (np.diff(_row_bounds(maxima, *rows.shape))
+             + np.diff(_row_bounds(minima, *rows.shape))) >= 3
     return found if y.ndim == 2 else bool(found[0])
 
 
 def _sift(x: np.ndarray, max_modes: int):
     """The sift loop over the rows of x, at most _BATCH_SAMPLES samples or
     one row: each row gives up a mode while it has 3 or more extrema, up
-    to max_modes. Returns ([(rows, imfs)] per mode, residues)."""
+    to max_modes. Returns (each row's IMFs, residues)."""
     if x.shape[1] < 4:
         raise InvalidSignalError(f"signal too short to decompose ({x.shape[1]} samples)")
     residue = x.copy()
+    imfs = [[] for _ in residue]
     live = np.flatnonzero(_decomposable(residue))
-    modes = []
-    while len(modes) < max_modes and live.size:
+    for _ in range(max_modes):
+        if not live.size:
+            break
         imf, proto_residue = extract_imf(residue[live])
         residue[live] = proto_residue
-        modes.append((live, imf))
+        for row, mode in zip(live, imf):
+            imfs[row].append(mode)
+        # also after the last mode: its find_extrema is the only check
+        # that the final residue is finite
         live = live[_decomposable(proto_residue)]
-    return modes, residue
+    return imfs, residue
 
 
 def emd(signal, max_modes: int = DEFAULT_MAX_MODES):
@@ -430,11 +419,7 @@ def emd(signal, max_modes: int = DEFAULT_MAX_MODES):
     x = signal.samples[None] if one else as_float_array(signal, ndim=2)
     decs = []
     for batch in _batches(*x.shape):
-        modes, residue = _sift(x[batch], max_modes)
-        imfs = [[] for _ in residue]
-        for live, imf in modes:
-            for row, mode in zip(live, imf):
-                imfs[row].append(mode)
+        imfs, residue = _sift(x[batch], max_modes)
         decs += [Decomposition(imfs=i, residue=r) for i, r in zip(imfs, residue)]
     return decs[0] if one else decs
 

@@ -6,9 +6,9 @@ becomes the next residue, and the stage's IMF is the difference. One mode
 set for the whole ensemble, exact additive reconstruction by telescoping.
 
 The noise realizations and the ensemble members are sifted in lockstep,
-as (rows, n) batches of at most emd._BATCH_SAMPLES samples: one emd call
-per batch of realizations, one local_mean_operator call per batch of
-members.
+each as one (rows, n) array: one emd call per noise bank and one
+local_mean_operator call per stage. emd.py alone splits the rows into
+batches of at most emd._BATCH_SAMPLES samples.
 
 iceemd keeps the last noise bank it used and reuses it for the same
 (n, seed, ensemble size, max modes): the bank is built before any
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import DEFAULT_MAX_MODES, _batches, _decomposable, emd, local_mean_operator
+from .emd import DEFAULT_MAX_MODES, _decomposable, emd, local_mean_operator
 from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, Signal, as_float_array
 
@@ -75,11 +75,8 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
     """
     if n < 4:
         raise InvalidSignalError(f"noise bank needs n >= 4, got {n}")
-    bank = []
-    for batch in _batches(cfg.ensemble_size, n):
-        rows = np.array([_realization(n, cfg.seed, i) for i in range(batch.start, batch.stop)])
-        bank += [dec.imfs for dec in emd(rows, max_modes=cfg.max_modes)]
-    return bank
+    rows = np.array([_realization(n, cfg.seed, i) for i in range(cfg.ensemble_size)])
+    return [dec.imfs for dec in emd(rows, max_modes=cfg.max_modes)]
 
 
 # iceemd's last noise bank, by (n, seed, ensemble_size, max_modes), its
@@ -110,20 +107,19 @@ def _ensemble_mean_local_mean(base: np.ndarray, bank: list, k: int, beta: float)
     Determinism comes from the fixed member order of the sum; Kahan
     compensation bounds its rounding error, whatever the ensemble size.
     """
+    members = np.empty((len(bank), base.size))
+    for row, modes in zip(members, bank):
+        noise = (0.0 if k >= len(modes)
+                 else beta * modes[0] / float(modes[0].std()) if k == 0
+                 else beta * modes[k])
+        np.add(base, noise, out=row)
     acc = np.zeros_like(base)
     comp = np.zeros_like(base)
-    for batch in _batches(len(bank), base.size):
-        members = np.empty((batch.stop - batch.start, base.size))
-        for row, modes in zip(members, bank[batch]):
-            noise = (0.0 if k >= len(modes)
-                     else beta * modes[0] / float(modes[0].std()) if k == 0
-                     else beta * modes[k])
-            np.add(base, noise, out=row)
-        for term in local_mean_operator(members):
-            y = term - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
+    for term in local_mean_operator(members):
+        y = term - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
     return acc / len(bank)
 
 

@@ -2,6 +2,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -310,13 +311,20 @@ def _oracle_inputs():
 @settings(max_examples=150, deadline=None)
 @given(
     x=_oracle_inputs(),
-    ensemble_size=st.integers(1, 3),
+    ensemble_size=st.integers(1, 5),
     max_modes=st.integers(1, 12),
     seed=st.integers(0, 2**64 - 1),
+    per_batch=st.sampled_from([1, 2, 0]),
 )
-def test_equals_reference_recursion_bit_for_bit(x, ensemble_size, max_modes, seed):
+def test_equals_reference_recursion_bit_for_bit(x, ensemble_size, max_modes, seed, per_batch):
+    # per_batch rows of samples per batch (0: the package's cap), so a
+    # stage's members and the bank's realizations span several batches;
+    # the reference sifts each member alone and builds its bank unpatched
     cfg = EnsembleConfig(ensemble_size=ensemble_size, seed=seed, max_modes=max_modes)
-    dec = iceemd(Signal(x, FS), cfg)
+    cap = per_batch * x.size or emd_module._BATCH_SAMPLES
+    with (mock.patch.object(emd_module, "_BATCH_SAMPLES", cap),
+          mock.patch.object(ensemble_module, "_last_bank", {})):
+        dec = iceemd(Signal(x, FS), cfg)
     imfs, residue = iceemd_reference(x, cfg)
     assert len(dec.imfs) == len(imfs)
     for got, want in zip(dec.imfs, imfs):
