@@ -119,81 +119,85 @@ def find_extrema(samples) -> tuple[np.ndarray, np.ndarray]:
     return pos[peak], pos[~peak]
 
 
-def _end_knots(d_max, v_max, d_min, v_min, y_end):
+def _end_knots(d, v, y_end):
     """Envelope knots at one end, by the rule given in mean_envelope.
 
-    d_max/d_min list the distances of the extrema nearest the end from it,
-    ascending, and v_max/v_min their values. Returns the offsets and values
-    of the upper, then the lower, envelope's added knots, offsets measured
-    from the end (<= 0 lies beyond it) and nearest first.
+    d[k] lists the distances from the end of the extrema of kind k
+    nearest it (k = 0 for maxima, 1 for minima), ascending, and v[k]
+    their values. Returns each kind's added knots as (offsets, values),
+    offsets measured from the end (<= 0 lies beyond it), nearest first.
     """
     count = BOUNDARY_EXTREMA_COUNT
-    max_first = d_max[0] < d_min[0]
-    if max_first and y_end <= v_min[0]:
-        # end sample below the first minimum: it is a lower-envelope knot
-        return ([-d for d in d_max[:count]], v_max[:count],
-                [0] + [-d for d in d_min[:count - 1]], [y_end] + v_min[:count - 1])
-    if not max_first and y_end >= v_max[0]:
-        # end sample above the first maximum: it is an upper-envelope knot
-        return ([0] + [-d for d in d_max[:count - 1]], [y_end] + v_max[:count - 1],
-                [-d for d in d_min[:count]], v_min[:count])
-    sym = min(d_max[0], d_min[0])
-    skip_max, skip_min = (1, 0) if max_first else (0, 1)
-    o_max = [2 * sym - d for d in d_max[skip_max:skip_max + count]]
-    o_min = [2 * sym - d for d in d_min[skip_min:skip_min + count]]
-    if o_max and o_min and o_max[-1] <= 0 and o_min[-1] <= 0:
-        return (o_max, v_max[skip_max:skip_max + count],
-                o_min, v_min[skip_min:skip_min + count])
-    # mirrored about the first extremum the knots would not reach past the
-    # end: mirror about the end sample instead, without using it as a knot
-    return ([-d for d in d_max[:count]], v_max[:count],
-            [-d for d in d_min[:count]], v_min[:count])
+    near = int(d[1][0] < d[0][0])
+    other = 1 - near
+    # end sample beyond the other kind's first extremum (below the first
+    # minimum, or above the first maximum)
+    beyond = (y_end >= v[0][0], y_end <= v[1][0])[other]
+    # mirror about the end sample then, else about the extremum nearest
+    # the end, which is not itself imaged
+    sym = 0 if beyond else d[near][0]
+    knots = []
+    for k in (0, 1):
+        skip = int(k == near and not beyond)
+        knots.append(([2 * sym - e for e in d[k][skip:skip + count]], v[k][skip:skip + count]))
+    if beyond:
+        # the end sample is a knot of the other kind's envelope, in place
+        # of its farthest image
+        o, w = knots[other]
+        knots[other] = [0] + o[:count - 1], [y_end] + w[:count - 1]
+    elif not all(o and o[-1] <= 0 for o, _ in knots):
+        # mirrored about the first extremum the knots would not reach past
+        # the end: mirror about the end sample instead, without using it
+        # as a knot
+        knots = [([-e for e in d[k][:count]], v[k][:count]) for k in (0, 1)]
+    return knots
 
 
-def _block_knots(y: np.ndarray, maxima: np.ndarray, minima: np.ndarray,
-                 max_bounds: list, min_bounds: list):
+def _block_knots(y: np.ndarray, maxima, minima):
     """Upper and lower envelope knots of every row of y, the extrema plus
     their boundary images, row r's positions shifted by r * 4n.
 
-    max_bounds and min_bounds list where each row's extrema start in
-    maxima and minima, and where the last row's end. Returns (ux, uy,
-    ustarts, lx, ly, lstarts): each envelope's knots of all rows,
-    concatenated, and the index where each row's knots start.
+    maxima and minima are find_extrema's flat indices into y. Each row
+    needs one of each, or NotEnoughExtremaError is raised; each of its
+    two ends then adds at least one knot to each envelope, so both have
+    3 or more. Returns (ux, uy, ustarts, lx, ly, lstarts): each
+    envelope's knots of all rows, concatenated, and the index where each
+    row's knots start.
     """
     rows, n = y.shape
     flat = y.ravel()
+    extrema = [np.asarray(e, dtype=np.intp) for e in (maxima, minima)]
+    bounds = [_row_bounds(e, rows, n).tolist() for e in extrema]
     near = BOUNDARY_EXTREMA_COUNT + 1
     # a row's knots lie in [-(n-2), 2n-3] and its samples in [0, n-1], so
     # rows 4n apart never meet, and every position stays an exact integer
     stride = 4 * n
     end_x, end_v = ([], []), ([], [])
     for r in range(rows):
-        # the extrema nearest each end: their distances from it and values
-        first, last = r * n, r * n + n - 1
-        a, b = max_bounds[r], max_bounds[r + 1]
-        head_max = maxima[a:min(b, a + near)].tolist()
-        tail_max = maxima[max(a, b - near):b].tolist()[::-1]
-        a, b = min_bounds[r], min_bounds[r + 1]
-        head_min = minima[a:min(b, a + near)].tolist()
-        tail_min = minima[max(a, b - near):b].tolist()[::-1]
-        left = _end_knots([i - first for i in head_max], [flat.item(i) for i in head_max],
-                          [i - first for i in head_min], [flat.item(i) for i in head_min],
-                          flat.item(first))
-        right = _end_knots([last - i for i in tail_max], [flat.item(i) for i in tail_max],
-                           [last - i for i in tail_min], [flat.item(i) for i in tail_min],
-                           flat.item(last))
-        base = r * stride
-        for side in (0, 1):
-            end_x[side].extend(base + o for o in left[2 * side])
-            end_x[side].extend(base + (n - 1) - o for o in right[2 * side])
-            end_v[side].extend(left[2 * side + 1] + right[2 * side + 1])
+        runs = [e[b[r]:b[r + 1]] for e, b in zip(extrema, bounds)]
+        if not (runs[0].size and runs[1].size):
+            raise NotEnoughExtremaError(
+                f"envelopes need interior maxima and minima "
+                f"(got {runs[0].size} maxima, {runs[1].size} minima)"
+            )
+        for end, step in ((r * n, 1), (r * n + n - 1, -1)):
+            # the extrema nearest this end: their distances from it and values
+            d, v = [], []
+            for run in runs:
+                idx = run[::step][:near].tolist()
+                d.append([(i - end) * step for i in idx])
+                v.append([flat.item(i) for i in idx])
+            at = end + r * (stride - n)
+            for k, (o, w) in enumerate(_end_knots(d, v, flat.item(end))):
+                end_x[k].extend([at + step * off for off in o])
+                end_v[k].extend(w)
 
     knots = []
-    for side, (ext, bounds) in enumerate(((maxima, max_bounds), (minima, min_bounds))):
+    for ext, b, x_end, v_end in zip(extrema, bounds, end_x, end_v):
         # the extrema and the end knots of all rows, put in position order
-        shift = np.repeat(np.arange(rows) * (stride - n), np.diff(bounds))
-        x = np.concatenate((ext + shift, end_x[side])).astype(np.float64)
-        v = np.concatenate((flat[ext], end_v[side]))
+        shift = np.repeat(np.arange(rows) * (stride - n), np.diff(b))
+        x = np.concatenate((ext + shift, x_end)).astype(np.float64)
+        v = np.concatenate((flat[ext], v_end))
         order = np.argsort(x, kind="stable")
         x = x[order]
         knots += [x, v[order], np.searchsorted(x, np.arange(rows) * stride - n)]
@@ -274,20 +278,7 @@ def mean_envelope(samples, maxima, minima) -> np.ndarray:
     y = np.asarray(samples, dtype=np.float64)
     rows = y.reshape(-1, y.shape[-1])
     n_rows, n = rows.shape
-    maxima = np.asarray(maxima, dtype=np.intp)
-    minima = np.asarray(minima, dtype=np.intp)
-    max_bounds = _row_bounds(maxima, n_rows, n).tolist()
-    min_bounds = _row_bounds(minima, n_rows, n).tolist()
-    for r in range(n_rows):
-        n_max = max_bounds[r + 1] - max_bounds[r]
-        n_min = min_bounds[r + 1] - min_bounds[r]
-        if n_max < 1 or n_min < 1:
-            raise NotEnoughExtremaError(
-                f"envelopes need interior maxima and minima "
-                f"(got {n_max} maxima, {n_min} minima)"
-            )
-    # each end adds at least one knot to each envelope, so both have >= 3
-    ux, uy, us, lx, ly, ls = _block_knots(rows, maxima, minima, max_bounds, min_bounds)
+    ux, uy, us, lx, ly, ls = _block_knots(rows, maxima, minima)
     # sample positions of all rows in the knots' coordinates
     grid = (np.arange(n_rows)[:, None] * (4.0 * n) + np.arange(n)).ravel()
     mean = CubicSpline(ux, uy, us)(grid)

@@ -48,16 +48,35 @@ def _header_number(
     return number
 
 
+def _undecodable_line(path: str) -> int | None:
+    """The line of a file's first byte that is not UTF-8, lines counted
+    as text mode counts them: a line ends at \\n, \\r\\n or \\r."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].replace(b"\r\n", b"\n")
+        return head.count(b"\n") + head.count(b"\r") + 1
+    return None  # the file changed since it failed to decode
+
+
 def _read_file(path: str) -> tuple[dict[str, tuple[int, str]], float, list[tuple[int, str]]]:
     """Split a file into its leading `# key=value` comments and its body.
 
     Returns the metadata (key -> (line number, value)), the sample rate it
     states and the nonblank body lines as (line number, line). The rate
     comes from sample_rate_hz or sample_interval_s; each must be finite and
-    positive, and the two must agree when both are given.
+    positive with a finite reciprocal, and the two must agree when both
+    are given. A file that is not UTF-8 text is a SignalFormatError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i + 1, ln) for i, ln in enumerate(fh) if ln.strip() != ""]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(i + 1, ln) for i, ln in enumerate(fh) if ln.strip() != ""]
+    except UnicodeDecodeError as exc:
+        raise SignalFormatError(
+            f"{path}: not UTF-8 text ({exc.reason})", line=_undecodable_line(path)
+        ) from None
     meta: dict[str, tuple[int, str]] = {}
     body_start = 0
     for lineno, line in lines:
@@ -76,6 +95,12 @@ def _read_file(path: str) -> tuple[dict[str, tuple[int, str]], float, list[tuple
             f"{path}: missing sampling metadata "
             "(need a '# sample_rate_hz=...' or '# sample_interval_s=...' line)"
         )
+    for key, number in (("sample_rate_hz", rate_hz), ("sample_interval_s", interval_s)):
+        if number is not None and np.isinf(1.0 / number):
+            raise SignalFormatError(
+                f"{path}: {key}={meta[key][1]} is too small, its reciprocal overflows",
+                line=meta[key][0],
+            )
     if rate_hz is None:
         rate_hz = 1.0 / interval_s
     elif interval_s is not None and abs(1.0 / rate_hz - interval_s) > _RATE_TOLERANCE * interval_s:

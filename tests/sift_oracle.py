@@ -52,8 +52,7 @@ def sift(x):
     for _ in range(100):
         if maxima.size == 0 or minima.size == 0:
             break
-        ux, uy, _, lx, ly, _ = _block_knots(h[None], maxima, minima,
-                                            [0, maxima.size], [0, minima.size])
+        ux, uy, _, lx, ly, _ = _block_knots(h[None], maxima, minima)
         grid = np.arange(h.size)
         upper = CubicSpline(ux, uy, bc_type="natural")(grid)
         lower = CubicSpline(lx, ly, bc_type="natural")(grid)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iceemd import (
     ApEnConfig,
@@ -178,10 +182,14 @@ class TestMetrics:
 class TestErrors:
     def test_format_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("1\n2\n3\n")  # no sampling metadata
-        assert run(["decompose", bad, "--method", "emd", "-o", tmp_path / "d.csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: format:") and err.count("\n") == 1
+        for content in (
+            b"1\n2\n3\n",  # no sampling metadata
+            b"# sample_rate_hz=1000\n1\n\xff\n3\n",  # not UTF-8
+        ):
+            bad.write_bytes(content)
+            assert run(["decompose", bad, "--method", "emd", "-o", tmp_path / "d.csv"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: format:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("header, row", [
         ("# sample_rate_hz=nan", "0.001,-1,2"),
@@ -353,3 +361,31 @@ class TestNonFiniteFlags:
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert names in err
         assert not out.exists()
+
+
+# a file body: arbitrary bytes, or text made of what CSV numbers and
+# headers are made of, so that some bodies parse and some do not
+file_bodies = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="0123456789.-+eEinfa,# =\n\r\t", max_size=200).map(str.encode),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    header=st.sampled_from([b"# sample_rate_hz=1000\n", b"# sample_interval_s=0.001\n"]),
+    body=file_bodies,
+)
+def test_cli_exit_contract_on_any_file(tmp_path_factory, header, body):
+    # whatever a signal file holds, a command exits 0 or 2, and a refusal
+    # is one stderr line
+    folder = tmp_path_factory.mktemp("any")
+    path, out = folder / "sig.csv", folder / "dec.csv"
+    path.write_bytes(header + body)
+    for argv in (["decompose", path, "--method", "emd", "-o", out], ["metrics", path, path]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert stderr.getvalue().count("\n") == 1

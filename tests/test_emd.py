@@ -115,10 +115,11 @@ class TestMeanEnvelope:
         assert np.abs(env).max() < 0.05
 
     def test_constant_has_no_extrema(self):
-        y = np.full(100, 3.0)
-        maxima, minima = find_extrema(y)
-        with pytest.raises(NotEnoughExtremaError):
-            mean_envelope(y, maxima, minima)
+        # one row, and a batch whose second row is constant: refused per row
+        for y in (np.full(100, 3.0), np.stack([sine(20, n=100), np.full(100, 3.0)])):
+            maxima, minima = find_extrema(y)
+            with pytest.raises(NotEnoughExtremaError):
+                mean_envelope(y, maxima, minima)
 
     def test_offset_sine_envelope_near_offset(self):
         y = sine(20) + 2.5
@@ -130,8 +131,7 @@ class TestMeanEnvelope:
     def test_every_envelope_has_three_increasing_knots(self, y):
         maxima, minima = find_extrema(y)
         assume(maxima.size >= 1 and minima.size >= 1)
-        ux, _, _, lx, _, _ = emd_module._block_knots(
-            y[None], maxima, minima, [0, maxima.size], [0, minima.size])
+        ux, _, _, lx, _, _ = emd_module._block_knots(y[None], maxima, minima)
         for knots in (ux, lx):
             assert knots.size >= 3
             assert np.all(np.diff(knots) > 0)
@@ -404,8 +404,7 @@ class TestEnvelopeKnots:
     def test_one_row_equals_reference(self, y):
         maxima, minima = find_extrema(y)
         assume(maxima.size and minima.size)
-        ux, uy, _, lx, ly, _ = emd_module._block_knots(
-            y[None], maxima, minima, [0, maxima.size], [0, minima.size])
+        ux, uy, _, lx, ly, _ = emd_module._block_knots(y[None], maxima, minima)
         got = ux, uy, lx, ly
         want = reference_envelope_knots(y, maxima, minima)
         for g, w in zip(got, want):
@@ -419,10 +418,7 @@ class TestEnvelopeKnots:
         assume(rows.shape[0] > 0)
         n = rows.shape[1]
         maxima, minima = find_extrema(rows)
-        ux, uy, us, lx, ly, ls = emd_module._block_knots(
-            rows, maxima, minima,
-            emd_module._row_bounds(maxima, *rows.shape).tolist(),
-            emd_module._row_bounds(minima, *rows.shape).tolist())
+        ux, uy, us, lx, ly, ls = emd_module._block_knots(rows, maxima, minima)
         us, ls = np.append(us, ux.size), np.append(ls, lx.size)
         for r, row in enumerate(rows):
             wux, wuy, wlx, wly = reference_envelope_knots(row, *find_extrema(row))

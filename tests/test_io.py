@@ -182,7 +182,7 @@ class TestDecompositionCsv:
             read_decomposition_csv(path)
 
 
-BAD_RATES = ["0", "-5", "nan", "inf"]
+BAD_RATES = ["0", "-5", "nan", "inf", "1e-320"]  # 1 / 1e-320 overflows
 DEC_BODY = "t,imf1,residue\n0,1,2\n0.001,-1,2\n0.002,1,2\n"
 
 
@@ -200,6 +200,26 @@ class TestHeaderAndRows:
         with pytest.raises(SignalFormatError) as err:
             reader(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("reader, body", [
+        (read_decomposition_csv, DEC_BODY),
+        (read_signal_csv, "0\n1\n0\n"),
+    ])
+    def test_overflowing_interval_rejected_with_line(self, tmp_path, reader, body):
+        path = tmp_path / "file.csv"
+        path.write_text("# label=x\n# sample_interval_s=1e-320\n" + body)
+        with pytest.raises(SignalFormatError, match="sample_interval_s") as err:
+            reader(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("reader", [read_decomposition_csv, read_signal_csv])
+    def test_non_utf8_rejected_with_line(self, tmp_path, reader):
+        # lines end at \n, \r\n or \r, as text mode counts them
+        path = tmp_path / "file.csv"
+        path.write_bytes(b"# sample_rate_hz=1000\r\n0\r1\n0.\xff5\n")
+        with pytest.raises(SignalFormatError, match="UTF-8") as err:
+            reader(path)
+        assert err.value.line == 4
 
     @pytest.mark.parametrize("floor", ["-1", "nan", "inf", "abc"])
     def test_bad_noise_floor_rejected_with_line(self, tmp_path, floor):
