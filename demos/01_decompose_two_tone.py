@@ -41,5 +41,5 @@ err = np.abs(dec.reconstruct() - signal.samples).max()
 print(f"\nreconstruction error (max abs): {err:.2e}")
 
 dest = OUT / "two_tone_decomposition.csv"
-write_decomposition_csv(dec, dest, fs, "demo")
+write_decomposition_csv(dec, dest, fs)
 print(f"decomposition written to {dest}")

@@ -154,7 +154,7 @@ def _cmd_decompose(args) -> int:
         config_echo = {"method": "emd", "max_modes": args.max_modes}
     config_echo["input"] = args.input
     config_echo["sample_rate_hz"] = signal.sample_rate_hz
-    write_decomposition_csv(dec, args.output, signal.sample_rate_hz, __version__)
+    write_decomposition_csv(dec, args.output, signal.sample_rate_hz)
     if args.report:
         _write_run_report(args.report, config_echo, None, None, [args.output])
     return 0

@@ -3,9 +3,11 @@
 Signal CSV: `# key=value` comment lines carrying the sampling metadata,
 then one amplitude per row (a two-column `t,amplitude` form is accepted
 on read; t is checked for uniform spacing and dropped). Decomposition
-CSV: the same comments plus `noise_floor`, then a named column row
-`t,imf1..imfK,residue`.
-Floats are printed with 17 significant digits so write-read is lossless.
+CSV: the same comments plus `noise_floor` and `tool_version`, the
+version of this package that wrote it, then a named column row
+`t,imf1..imfK,residue`. The sample times (n - 1) / rate must be finite.
+Floats are printed as `%.17g` by numpy's savetxt, so write-read is
+lossless; files are UTF-8 with `\n` line endings.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import json
 
 import numpy as np
 
+from . import __version__
 from .errors import SignalFormatError
 from .types import Decomposition, Signal
 
@@ -174,26 +177,23 @@ def write_signal_csv(signal: Signal, path, label: str = "") -> None:
         if label:
             fh.write(f"# label={' '.join(label.split())}\n")
         fh.write(f"# format_version={FORMAT_VERSION}\n")
-        for value in signal.samples:
-            fh.write(_fmt(value) + "\n")
+        np.savetxt(fh, signal.samples, fmt="%.17g")
 
 
-def write_decomposition_csv(
-    dec: Decomposition, path, sample_rate_hz: float, tool_version: str
-) -> None:
+def write_decomposition_csv(dec: Decomposition, path, sample_rate_hz: float) -> None:
     """Write columns t, imf1..imfK, residue with lossless float formatting;
-    the header carries the decomposition's noise floor."""
+    the header carries the decomposition's noise floor and the version of
+    this package as tool_version."""
     n = dec.residue.size
     columns = [np.arange(n) / sample_rate_hz, *dec.imfs, dec.residue]
     names = ["t"] + [f"imf{k + 1}" for k in range(dec.n_imfs)] + ["residue"]
     with open(str(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# sample_rate_hz={_fmt(sample_rate_hz)}\n")
         fh.write(f"# noise_floor={_fmt(dec.noise_floor)}\n")
-        fh.write(f"# tool_version={tool_version}\n")
+        fh.write(f"# tool_version={__version__}\n")
         fh.write(f"# format_version={FORMAT_VERSION}\n")
         fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
 
 
 def read_decomposition_csv(path) -> tuple[Decomposition, float]:

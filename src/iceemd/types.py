@@ -27,7 +27,8 @@ class Signal:
     samples : array_like
         Real amplitudes, finite, 1-D.
     sample_rate_hz : float
-        Sampling rate in Hz, > 0.
+        Sampling rate in Hz, > 0, with a finite last sample time
+        (len - 1) / sample_rate_hz.
     """
 
     samples: np.ndarray
@@ -38,6 +39,12 @@ class Signal:
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise InvalidSignalError(
                 f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
+            )
+        last_time = max(self.samples.size - 1, 0) / float(self.sample_rate_hz)
+        if not np.isfinite(last_time):
+            raise InvalidSignalError(
+                f"sample_rate_hz={self.sample_rate_hz} is too small for "
+                f"{self.samples.size} samples: their sample times overflow float64"
             )
 
     def __len__(self) -> int:

@@ -13,7 +13,9 @@ from iceemd import (
     ApEnConfig,
     Decomposition,
     EnsembleConfig,
+    InvalidSignalError,
     PipelineConfig,
+    Signal,
     add_noise_snr,
     synth_signal,
 )
@@ -215,7 +217,7 @@ class TestErrors:
         imf = 1e307 * np.random.default_rng(0).standard_normal(50)
         dec = Decomposition(imfs=[imf], residue=np.zeros(50))
         path = tmp_path / "dec.csv"
-        write_decomposition_csv(dec, path, 1000.0, "test")
+        write_decomposition_csv(dec, path, 1000.0)
         assert run(["apen", path, "-o", tmp_path / "r.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "overflow" in err
@@ -227,7 +229,7 @@ class TestErrors:
         # still scores 0.0, not NaN
         dec = Decomposition(imfs=[np.zeros(50)], residue=np.zeros(50), noise_floor=5e-324)
         path, report = tmp_path / "dec.csv", tmp_path / "r.json"
-        write_decomposition_csv(dec, path, 1000.0, "test")
+        write_decomposition_csv(dec, path, 1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["apen", path, "-o", report]) == 0
@@ -261,6 +263,23 @@ class TestErrors:
         assert err.startswith("error: data:") and "standard deviation" in err
         assert "overflows" in err and "NaN" not in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_sample_times_exit_2(self, tmp_path, capsys):
+        # 1 / 1e-307 is finite but the 40th sample time, 39 / 1e-307, is not
+        samples = np.sin(0.7 * np.arange(40))
+        with pytest.raises(InvalidSignalError, match=r"sample_rate_hz=1e-307 .* 40 samples"):
+            Signal(samples, 1e-307)
+        with pytest.raises(InvalidSignalError):
+            Signal(samples[:2], 1e-307).with_samples(samples)
+        sig, out = tmp_path / "sig.csv", tmp_path / "dec.csv"
+        sig.write_text("# sample_rate_hz=1e-307\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["decompose", sig, "--method", "emd", "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "sample_rate_hz=1e-307" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
@@ -373,18 +392,26 @@ file_bodies = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    header=st.sampled_from([b"# sample_rate_hz=1000\n", b"# sample_interval_s=0.001\n"]),
+    header=st.sampled_from([
+        b"# sample_rate_hz=1000\n", b"# sample_interval_s=0.001\n",
+        b"# sample_rate_hz=1e-307\n", b"# sample_interval_s=1e307\n",
+    ]),
     body=file_bodies,
 )
 def test_cli_exit_contract_on_any_file(tmp_path_factory, header, body):
     # whatever a signal file holds, a command exits 0 or 2, and a refusal
-    # is one stderr line
+    # is one stderr line; a numpy overflow on the way to exit 0 fails too
     folder = tmp_path_factory.mktemp("any")
     path, out = folder / "sig.csv", folder / "dec.csv"
     path.write_bytes(header + body)
     for argv in (["decompose", path, "--method", "emd", "-o", out], ["metrics", path, path]):
         stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        with (
+            contextlib.redirect_stderr(stderr),
+            contextlib.redirect_stdout(io.StringIO()),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
             code = run(argv)
         assert code in (0, 2)
         if code == 2:

@@ -10,6 +10,7 @@ from iceemd import (
     EnsembleConfig,
     Signal,
     SignalFormatError,
+    __version__,
     approximate_entropy,
     emd,
     iceemd,
@@ -113,7 +114,7 @@ class TestDecompositionCsv:
         sig = random_signal(n=128, seed=2, fs=1000.0)
         dec = emd(sig)
         path = tmp_path / "dec.csv"
-        write_decomposition_csv(dec, path, sig.sample_rate_hz, "0.1.0")
+        write_decomposition_csv(dec, path, sig.sample_rate_hz)
         back, rate = read_decomposition_csv(path)
         assert rate == 1000.0
         assert back.n_imfs == dec.n_imfs
@@ -126,7 +127,7 @@ class TestDecompositionCsv:
         dec = iceemd(sig, EnsembleConfig(ensemble_size=3, seed=5))
         assert dec.noise_floor > 0
         path = tmp_path / "dec.csv"
-        write_decomposition_csv(dec, path, sig.sample_rate_hz, "0.1.0")
+        write_decomposition_csv(dec, path, sig.sample_rate_hz)
         back, _ = read_decomposition_csv(path)
         assert back.noise_floor == dec.noise_floor
 
@@ -137,7 +138,7 @@ class TestDecompositionCsv:
         sig = Signal(np.sin(2 * np.pi * 20 * np.arange(200) / 1000.0), 1000.0)
         dec = iceemd(sig, EnsembleConfig(ensemble_size=3, seed=0))
         path = tmp_path / "dec.csv"
-        write_decomposition_csv(dec, path, sig.sample_rate_hz, "0.1.0")
+        write_decomposition_csv(dec, path, sig.sample_rate_hz)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(ln for ln in lines if not ln.startswith("# noise_floor=")))
         back, _ = read_decomposition_csv(path)
@@ -154,7 +155,7 @@ class TestDecompositionCsv:
     def test_empty_imf_columns(self, tmp_path):
         dec = Decomposition(imfs=[], residue=np.linspace(0, 1, 16))
         path = tmp_path / "dec.csv"
-        write_decomposition_csv(dec, path, 500.0, "0.1.0")
+        write_decomposition_csv(dec, path, 500.0)
         header = [
             line
             for line in path.read_text().splitlines()
@@ -169,7 +170,7 @@ class TestDecompositionCsv:
         imfs = [rng.standard_normal(32) for _ in range(6)]
         dec = Decomposition(imfs=imfs, residue=rng.standard_normal(32))
         path = tmp_path / "dec.csv"
-        write_decomposition_csv(dec, path, 10498.0, "0.1.0")
+        write_decomposition_csv(dec, path, 10498.0)
         header = [
             line for line in path.read_text().splitlines() if not line.startswith("#")
         ][0]
@@ -294,12 +295,42 @@ def test_decomposition_csv_round_trip_is_bit_exact(tmp_path_factory, data, n_imf
     ]
     dec = Decomposition(imfs=columns[:-1], residue=columns[-1], noise_floor=noise_floor)
     path = tmp_path_factory.mktemp("dec") / "dec.csv"
-    write_decomposition_csv(dec, path, 1000.0, "test")
+    write_decomposition_csv(dec, path, 1000.0)
     back, rate = read_decomposition_csv(path)
     assert rate == 1000.0
     assert back.noise_floor == noise_floor
     assert [imf.tobytes() for imf in back.imfs] == [imf.tobytes() for imf in dec.imfs]
     assert back.residue.tobytes() == dec.residue.tobytes()
+
+
+def test_writers_exact_bytes(tmp_path):
+    # the text itself, not only the values it reads back as: header order,
+    # the label's whitespace collapsed, %.17g numbers and \n line endings
+    sig_path, dec_path = tmp_path / "sig.csv", tmp_path / "dec.csv"
+    write_signal_csv(Signal([0.1, -0.0, 1 / 3], 10498.0), sig_path, label="  bolt \t run  two ")
+    assert sig_path.read_bytes() == (
+        b"# sample_rate_hz=10498\n"
+        b"# n_samples=3\n"
+        b"# label=bolt run two\n"
+        b"# format_version=1\n"
+        b"0.10000000000000001\n"
+        b"-0\n"
+        b"0.33333333333333331\n"
+    )
+    dec = Decomposition(
+        imfs=[[-0.0, 5e-324], [2.2250738585072014e-308, 1.7976931348623157e308]],
+        residue=[0.1, 1 / 3],
+    )
+    write_decomposition_csv(dec, dec_path, 1000.0)
+    assert dec_path.read_bytes() == (
+        b"# sample_rate_hz=1000\n"
+        b"# noise_floor=0\n"
+        + f"# tool_version={__version__}\n".encode()
+        + b"# format_version=1\n"
+        b"t,imf1,imf2,residue\n"
+        b"0,-0,2.2250738585072014e-308,0.10000000000000001\n"
+        b"0.001,4.9406564584124654e-324,1.7976931348623157e+308,0.33333333333333331\n"
+    )
 
 
 class TestReport:

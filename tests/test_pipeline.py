@@ -139,7 +139,7 @@ class TestSeedSweep:
     def test_stored_decomposition_gets_pipeline_verdict(self, clean_run, tmp_path, name, seed):
         sig, result = clean_run(name, seed)
         dec_path, rep_path = tmp_path / "dec.csv", tmp_path / "apen.json"
-        write_decomposition_csv(result.decomposition_raw, dec_path, sig.sample_rate_hz, "test")
+        write_decomposition_csv(result.decomposition_raw, dec_path, sig.sample_rate_hz)
         assert run_cli(["apen", str(dec_path), "-o", str(rep_path)]) == 0
         rows = read_report(rep_path)["apen_table"]["per_imf"]
         assert [(row["imf_index"] - 1, row["apen"]) for row in rows] == result.apen_report.per_imf
