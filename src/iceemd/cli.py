@@ -39,23 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _versions() -> dict:
+def _report(path, config_echo, **sections) -> None:
+    """Write a JSON report: config_echo, the sections in the order given,
+    then the versions of the tool and of its file formats."""
     formats = ("signal_csv", "decomposition_csv", "report_json")
-    return {"tool": __version__, "formats": dict.fromkeys(formats, FORMAT_VERSION)}
-
-
-def _write_run_report(path, config_echo, apen_table, metrics, artifact_paths) -> None:
-    """The JSON report of one decompose, apen or denoise run."""
-    write_report(
-        {
-            "config_echo": config_echo,
-            "apen_table": apen_table,
-            "metrics": metrics,
-            "artifact_paths": artifact_paths,
-            "versions": _versions(),
-        },
-        path,
-    )
+    versions = {"tool": __version__, "formats": dict.fromkeys(formats, FORMAT_VERSION)}
+    write_report({"config_echo": config_echo, **sections, "versions": versions}, path)
 
 
 def _apen_table(report) -> dict:
@@ -68,12 +57,28 @@ def _apen_table(report) -> dict:
     }
 
 
+def _metrics(reference, estimate) -> dict:
+    return {"snr_db": snr(reference, estimate), "rmse": rmse(reference, estimate)}
+
+
+def _ensemble_flags(p) -> None:
+    p.add_argument("--ensemble-size", type=int, default=EnsembleConfig.ensemble_size)
+    p.add_argument("--epsilon0", type=float, default=EnsembleConfig.epsilon0)
+
+
+def _ensemble(args, **fields) -> EnsembleConfig:
+    return EnsembleConfig(
+        ensemble_size=args.ensemble_size, epsilon0=args.epsilon0, seed=args.seed, **fields
+    )
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="iceemd", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="emit the synthetic two-tone benchmark signal")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument(
         "--fs", type=float, default=SynthConfig.sample_rate_hz, help="sample rate in Hz"
     )
@@ -83,22 +88,24 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="output signal CSV")
 
     p = sub.add_parser("decompose", help="decompose a signal CSV into IMFs")
+    p.set_defaults(run=_cmd_decompose)
     p.add_argument("input", help="input signal CSV")
     p.add_argument("--method", choices=("emd", "iceemd"), default="iceemd")
-    p.add_argument("--ensemble-size", type=int, default=EnsembleConfig.ensemble_size)
-    p.add_argument("--epsilon0", type=float, default=EnsembleConfig.epsilon0)
+    _ensemble_flags(p)
     p.add_argument("--max-modes", type=int, default=EnsembleConfig.max_modes)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", required=True, help="output decomposition CSV")
     p.add_argument("--report", default=None, help="optional JSON report path")
 
     p = sub.add_parser("apen", help="approximate entropy of a decomposition CSV")
+    p.set_defaults(run=_cmd_apen)
     p.add_argument("input", help="decomposition CSV")
     p.add_argument("--tolerance-factor", type=float, default=ApEnConfig.tolerance_factor)
     p.add_argument("--threshold", type=float, default=DEFAULT_APEN_THRESHOLD)
     p.add_argument("-o", "--output", required=True, help="output JSON report")
 
     p = sub.add_parser("denoise", help="run the full decompose-gate-denoise pipeline")
+    p.set_defaults(run=_cmd_denoise)
     p.add_argument("input", help="input signal CSV")
     p.add_argument("--reference", default=None, help="clean reference CSV for SNR/RMSE")
     p.add_argument("--apen-threshold", type=float, default=DEFAULT_APEN_THRESHOLD)
@@ -107,19 +114,20 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--sigma-estimator", choices=SIGMA_ESTIMATORS, default=DenoiseConfig.sigma_estimator
     )
-    p.add_argument("--ensemble-size", type=int, default=EnsembleConfig.ensemble_size)
-    p.add_argument("--epsilon0", type=float, default=EnsembleConfig.epsilon0)
+    _ensemble_flags(p)
     p.add_argument("--seed", type=int, required=True, help="ensemble noise seed")
     p.add_argument("-o", "--output", required=True, help="output denoised signal CSV")
     p.add_argument("--report", default=None, help="optional JSON report path")
 
     p = sub.add_parser("bench", help="seeded denoising comparison on the benchmark signal")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--seeds", type=int, default=10, help="number of seeds")
     p.add_argument("--snr-db", type=float, default=5.0, help="input SNR")
     p.add_argument("--base-seed", type=int, default=0, help="first noise seed")
     p.add_argument("-o", "--output", required=True, help="output JSON table")
 
     p = sub.add_parser("metrics", help="print SNR and RMSE between two signal CSVs")
+    p.set_defaults(run=_cmd_metrics)
     p.add_argument("reference")
     p.add_argument("estimate")
     return parser
@@ -141,45 +149,38 @@ def _cmd_decompose(args) -> int:
     if args.method == "iceemd":
         if args.seed is None:
             raise UsageError("--method iceemd requires --seed (no silent entropy)")
-        cfg = EnsembleConfig(
-            ensemble_size=args.ensemble_size,
-            epsilon0=args.epsilon0,
-            seed=args.seed,
-            max_modes=args.max_modes,
-        )
+        cfg = _ensemble(args, max_modes=args.max_modes)
         dec = iceemd(signal, cfg)
         config_echo = {"method": "iceemd", "ensemble": asdict(cfg)}
     else:
         dec = emd(signal, max_modes=args.max_modes)
         config_echo = {"method": "emd", "max_modes": args.max_modes}
-    config_echo["input"] = args.input
-    config_echo["sample_rate_hz"] = signal.sample_rate_hz
+    config_echo.update(input=args.input, sample_rate_hz=signal.sample_rate_hz)
     write_decomposition_csv(dec, args.output, signal.sample_rate_hz)
     if args.report:
-        _write_run_report(args.report, config_echo, None, None, [args.output])
+        _report(args.report, config_echo, apen_table=None, metrics=None,
+                artifact_paths=[args.output])
     return 0
 
 
 def _cmd_apen(args) -> int:
     dec, _rate = read_decomposition_csv(args.input)
     cfg = ApEnConfig(tolerance_factor=args.tolerance_factor)
-    report = apen_per_imf(dec, cfg, threshold=args.threshold)
+    table = _apen_table(apen_per_imf(dec, cfg, threshold=args.threshold))
     config_echo = {
         "input": args.input,
         "apen": asdict(cfg),
         "threshold": args.threshold,
         "noise_floor": dec.noise_floor,
     }
-    _write_run_report(args.output, config_echo, _apen_table(report), None, [])
+    _report(args.output, config_echo, apen_table=table, metrics=None, artifact_paths=[])
     return 0
 
 
 def _cmd_denoise(args) -> int:
     signal = read_signal_csv(args.input)
     cfg = PipelineConfig(
-        ensemble=EnsembleConfig(
-            ensemble_size=args.ensemble_size, epsilon0=args.epsilon0, seed=args.seed
-        ),
+        ensemble=_ensemble(args),
         apen_threshold=args.apen_threshold,
         denoise=DenoiseConfig(
             wavelet=args.wavelet,
@@ -191,11 +192,7 @@ def _cmd_denoise(args) -> int:
     write_signal_csv(result.output, args.output, label="iceemd-de denoised")
     metrics = None
     if args.reference:
-        reference = read_signal_csv(args.reference)
-        metrics = {
-            "snr_db": snr(reference, result.output),
-            "rmse": rmse(reference, result.output),
-        }
+        metrics = _metrics(read_signal_csv(args.reference), result.output)
     if args.report:
         config_echo = {
             "input": args.input,
@@ -203,9 +200,8 @@ def _cmd_denoise(args) -> int:
             **asdict(cfg),
             "sample_rate_hz": signal.sample_rate_hz,
         }
-        _write_run_report(
-            args.report, config_echo, _apen_table(result.apen_report), metrics, [args.output]
-        )
+        _report(args.report, config_echo, apen_table=_apen_table(result.apen_report),
+                metrics=metrics, artifact_paths=[args.output])
     return 0
 
 
@@ -215,38 +211,23 @@ def _cmd_bench(args) -> int:
     table = run_benchmark(
         n_seeds=args.seeds, input_snr_db=args.snr_db, base_seed=args.base_seed
     )
-    report = {
-        "config_echo": {
-            "seeds": args.seeds,
-            "snr_db": args.snr_db,
-            "base_seed": args.base_seed,
-            "ensemble_seed_offset": ENSEMBLE_SEED_OFFSET,
-            "synth": asdict(SynthConfig()),
-            **asdict(PipelineConfig()),
-        },
-        **table,
-        "versions": _versions(),
+    config_echo = {
+        "seeds": args.seeds,
+        "snr_db": args.snr_db,
+        "base_seed": args.base_seed,
+        "ensemble_seed_offset": ENSEMBLE_SEED_OFFSET,
+        "synth": asdict(SynthConfig()),
+        **asdict(PipelineConfig()),
     }
-    write_report(report, args.output)
+    _report(args.output, config_echo, **table)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     reference = read_signal_csv(args.reference)
-    estimate = read_signal_csv(args.estimate)
-    print(f"snr_db={snr(reference, estimate):.17g}")
-    print(f"rmse={rmse(reference, estimate):.17g}")
+    for name, value in _metrics(reference, read_signal_csv(args.estimate)).items():
+        print(f"{name}={value:.17g}")
     return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "decompose": _cmd_decompose,
-    "apen": _cmd_apen,
-    "denoise": _cmd_denoise,
-    "bench": _cmd_bench,
-    "metrics": _cmd_metrics,
-}
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -254,7 +235,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

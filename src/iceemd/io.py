@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SignalFormatError
-from .types import Decomposition, Signal
+from .types import Decomposition, Signal, check_sample_rate
 
 FORMAT_VERSION = "1"
 
@@ -183,8 +183,10 @@ def write_signal_csv(signal: Signal, path, label: str = "") -> None:
 def write_decomposition_csv(dec: Decomposition, path, sample_rate_hz: float) -> None:
     """Write columns t, imf1..imfK, residue with lossless float formatting;
     the header carries the decomposition's noise floor and the version of
-    this package as tool_version."""
+    this package as tool_version. The rate is checked as Signal checks
+    it, before the file is opened."""
     n = dec.residue.size
+    check_sample_rate(sample_rate_hz, n)
     columns = [np.arange(n) / sample_rate_hz, *dec.imfs, dec.residue]
     names = ["t"] + [f"imf{k + 1}" for k in range(dec.n_imfs)] + ["residue"]
     with open(str(path), "w", encoding="utf-8", newline="\n") as fh:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import Signal, as_float_array
+from .types import Signal, as_float_array, binary_exponent
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class SynthConfig:
         if not math.isfinite(n):
             raise InvalidConfigError("fs * duration overflows")
 
+
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 # Bolt-echo test signal (synth_echo_signal): sampling, excitation decay,
 # carrier, and the echo's peak time, amplitude and Gaussian width
@@ -79,33 +81,62 @@ def synth_echo_signal(n: int = 980) -> Signal:
     return Signal(excitation + echo, ECHO_SAMPLE_RATE_HZ)
 
 
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a scaled by 2**-k, so that its largest square neither overflows nor
+    underflows, and k (see binary_exponent)."""
+    k = binary_exponent(a)
+    return np.ldexp(a, -k), k
+
+
+def _scaled_error(reference: Signal, estimate: Signal) -> tuple[np.ndarray, int]:
+    """The difference of an equal-length pair, scaled as _scaled scales it;
+    the pair is scaled first, so that the difference cannot overflow."""
+    x = as_float_array(reference.samples)
+    xhat = as_float_array(estimate.samples)
+    if x.size != xhat.size:
+        raise InvalidSignalError(f"length mismatch: {x.size} vs {xhat.size}")
+    k = binary_exponent(x, xhat)
+    err, j = _scaled(np.ldexp(x, -k) - np.ldexp(xhat, -k))
+    return err, k + j
+
+
 def snr(reference: Signal, estimate: Signal) -> float:
     """Signal-to-noise ratio 10 log10(sum X^2 / sum (X - Xhat)^2), in dB.
 
-    Returns +inf when the error energy is exactly zero.
+    Returns +inf for identical samples. Both sums are taken on copies
+    scaled by powers of two, so the result is exact at any amplitude; a
+    ratio outside the normal float64 range (about +-3080 dB) is an
+    InvalidSignalError.
     """
-    x = as_float_array(reference.samples)
-    xhat = as_float_array(estimate.samples)
-    if x.size != xhat.size:
-        raise InvalidSignalError(f"length mismatch: {x.size} vs {xhat.size}")
-    signal_energy = float(np.dot(x, x))
-    if signal_energy == 0.0:
+    err, j = _scaled_error(reference, estimate)
+    if not reference.samples.any():
         raise InvalidSignalError("reference signal has zero energy")
-    err = x - xhat
-    error_energy = float(np.dot(err, err))
-    if error_energy == 0.0:
+    if np.array_equal(reference.samples, estimate.samples):
         return math.inf
-    return 10.0 * math.log10(signal_energy / error_energy)
+    x, k = _scaled(reference.samples)
+    try:
+        ratio = math.ldexp(float(np.dot(x, x)) / float(np.dot(err, err)), 2 * (k - j))
+    except (OverflowError, ZeroDivisionError):
+        ratio = math.inf
+    if not _SMALLEST_NORMAL <= ratio < math.inf:
+        raise InvalidSignalError(
+            "the SNR is outside float64 range: the ratio of signal to error energy "
+            "over- or underflows"
+        )
+    return 10.0 * math.log10(ratio)
 
 
 def rmse(reference: Signal, estimate: Signal) -> float:
-    """Root-mean-square error between two equal-length signals."""
-    x = as_float_array(reference.samples)
-    xhat = as_float_array(estimate.samples)
-    if x.size != xhat.size:
-        raise InvalidSignalError(f"length mismatch: {x.size} vs {xhat.size}")
-    err = x - xhat
-    return math.sqrt(float(np.dot(err, err)) / x.size)
+    """Root-mean-square error between two equal-length signals.
+
+    The error is squared on a copy scaled by a power of two; an RMSE
+    beyond float64 range is an InvalidSignalError.
+    """
+    err, j = _scaled_error(reference, estimate)
+    try:
+        return math.ldexp(math.sqrt(float(np.dot(err, err)) / err.size), j)
+    except OverflowError:
+        raise InvalidSignalError("the RMSE overflows float64") from None
 
 
 def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:

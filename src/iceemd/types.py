@@ -1,6 +1,7 @@
 """Core data containers: sampled signals and their decompositions."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,34 @@ def as_float_array(samples, ndim: int = 1) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidSignalError("samples contain NaN or Inf")
     return arr
+
+
+def binary_exponent(*arrays) -> int:
+    """The k that brings the arrays' largest magnitude into [0.5, 1) under
+    scaling by 2**-k: the frexp exponent of that magnitude, or 0 where it
+    lies in [2**-500, 2**500].
+
+    Scaling by a power of two is exact, so a result computed on arrays
+    inside that range does not move. Outside it, the largest scaled
+    magnitude is in [0.5, 1), so its square neither overflows nor
+    underflows.
+    """
+    peak = max((float(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0.0)
+    if 2.0**-500 <= peak <= 2.0**500:
+        return 0
+    return math.frexp(peak)[1]
+
+
+def check_sample_rate(sample_rate_hz, n_samples: int) -> None:
+    """Refuse a rate that is not finite and positive, or whose last sample
+    time (n_samples - 1) / sample_rate_hz overflows float64."""
+    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise InvalidSignalError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    if not np.isfinite(max(n_samples - 1, 0) / float(sample_rate_hz)):
+        raise InvalidSignalError(
+            f"sample_rate_hz={sample_rate_hz} is too small for "
+            f"{n_samples} samples: their sample times overflow float64"
+        )
 
 
 @dataclass(frozen=True)
@@ -36,16 +65,7 @@ class Signal:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", as_float_array(self.samples))
-        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise InvalidSignalError(
-                f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
-            )
-        last_time = max(self.samples.size - 1, 0) / float(self.sample_rate_hz)
-        if not np.isfinite(last_time):
-            raise InvalidSignalError(
-                f"sample_rate_hz={self.sample_rate_hz} is too small for "
-                f"{self.samples.size} samples: their sample times overflow float64"
-            )
+        check_sample_rate(self.sample_rate_hz, self.samples.size)
 
     def __len__(self) -> int:
         return self.samples.size

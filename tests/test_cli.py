@@ -16,11 +16,15 @@ from iceemd import (
     InvalidSignalError,
     PipelineConfig,
     Signal,
+    SynthConfig,
+    __version__,
     add_noise_snr,
     synth_signal,
 )
-from iceemd.cli import run_cli
+from iceemd.cli import _build_parser, run_cli
 from iceemd.io import read_report, read_signal_csv, write_decomposition_csv, write_signal_csv
+from iceemd.pipeline import DEFAULT_APEN_THRESHOLD
+from iceemd.wavelet import DenoiseConfig
 
 
 def run(argv):
@@ -160,6 +164,64 @@ class TestDefaults:
         assert read_report(rep_path)["config_echo"]["apen"] == asdict(ApEnConfig())
 
 
+class TestParser:
+    """Each subcommand's options, in the order --help lists them, with
+    their defaults; and the top-level keys of each report kind."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["synth", "-o", "o"], {
+            "fs": SynthConfig.sample_rate_hz, "duration": SynthConfig.duration_s,
+            "snr_db": None, "seed": None, "output": "o",
+        }),
+        (["decompose", "i", "-o", "o"], {
+            "input": "i", "method": "iceemd", "ensemble_size": EnsembleConfig.ensemble_size,
+            "epsilon0": EnsembleConfig.epsilon0, "max_modes": EnsembleConfig.max_modes,
+            "seed": None, "output": "o", "report": None,
+        }),
+        (["apen", "i", "-o", "o"], {
+            "input": "i", "tolerance_factor": ApEnConfig.tolerance_factor,
+            "threshold": DEFAULT_APEN_THRESHOLD, "output": "o",
+        }),
+        (["denoise", "i", "--seed", "3", "-o", "o"], {
+            "input": "i", "reference": None, "apen_threshold": DEFAULT_APEN_THRESHOLD,
+            "wavelet": DenoiseConfig.wavelet, "levels": DenoiseConfig.levels,
+            "sigma_estimator": DenoiseConfig.sigma_estimator,
+            "ensemble_size": EnsembleConfig.ensemble_size, "epsilon0": EnsembleConfig.epsilon0,
+            "seed": 3, "output": "o", "report": None,
+        }),
+        (["bench", "-o", "o"], {"seeds": 10, "snr_db": 5.0, "base_seed": 0, "output": "o"}),
+        (["metrics", "r", "e"], {"reference": "r", "estimate": "e"}),
+    ], ids=["synth", "decompose", "apen", "denoise", "bench", "metrics"])
+    def test_options_and_defaults(self, argv, expected):
+        parsed = vars(_build_parser().parse_args(argv))
+        parsed.pop("run", None)
+        assert list(parsed.items()) == [("command", argv[0]), *expected.items()]
+
+    def test_report_key_order(self, tmp_path):
+        sig, dec = tmp_path / "sig.csv", tmp_path / "dec.csv"
+        assert run(["synth", "--duration", 0.2, "--snr-db", 5, "--seed", 1, "-o", sig]) == 0
+        small = ["--ensemble-size", 2, "--seed", 1]
+        runs = [
+            ["decompose", sig, *small, "-o", dec, "--report", tmp_path / "decompose.json"],
+            ["apen", dec, "-o", tmp_path / "apen.json"],
+            ["denoise", sig, "--reference", sig, *small, "-o", tmp_path / "out.csv",
+             "--report", tmp_path / "denoise.json"],
+            ["bench", "--seeds", 1, "-o", tmp_path / "bench.json"],
+        ]
+        for argv in runs:
+            assert run(argv) == 0
+        versions = {"tool": __version__, "formats": dict.fromkeys(
+            ["signal_csv", "decomposition_csv", "report_json"], "1")}
+        run_keys = ["config_echo", "apen_table", "metrics", "artifact_paths", "versions"]
+        for kind, keys in [
+            ("decompose", run_keys), ("apen", run_keys), ("denoise", run_keys),
+            ("bench", ["config_echo", "original", "iceemd_de", "wavelet", "versions"]),
+        ]:
+            report = read_report(tmp_path / f"{kind}.json")
+            assert list(report) == keys, kind
+            assert report["versions"] == versions, kind
+
+
 class TestMetrics:
     def test_identical_inputs(self, tmp_path, capsys):
         sig_path = tmp_path / "sig.csv"
@@ -179,6 +241,35 @@ class TestMetrics:
         out = capsys.readouterr().out
         rmse_line = [ln for ln in out.splitlines() if ln.startswith("rmse=")][0]
         assert float(rmse_line.split("=")[1]) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("reference, estimate", [
+        ([0, 1, 0, -1, 0], [0, 1e300, 0, -1, 0]),  # the ratio underflows
+        ([0, 2e154, 0, -1, 0], [0, 2e154, 0, -1, 1]),  # the ratio overflows
+    ], ids=["ratio-underflows", "ratio-overflows"])
+    def test_ratio_outside_float64_exit_2(self, tmp_path, capsys, reference, estimate):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_signal_csv(Signal(reference, 1000.0), a)
+        write_signal_csv(Signal(estimate, 1000.0), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["metrics", a, b]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: data:") and "float64 range" in err
+        assert err.count("\n") == 1
+
+    def test_exact_at_large_amplitude(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_signal_csv(Signal([0, 1e200, 0, -1e200, 0], 1000.0), a)
+        write_signal_csv(Signal([0, 1.1e200, 0, -1e200, 0], 1000.0), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["metrics", a, b]) == 0
+        out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert list(out) == ["snr_db", "rmse"]
+        # 2e400 / 1e398 = 200, and sqrt(1e398 / 5)
+        assert float(out["snr_db"]) == pytest.approx(10 * np.log10(200.0), rel=1e-14)
+        assert float(out["rmse"]) == pytest.approx(1e199 / np.sqrt(5.0), rel=1e-14)
 
 
 class TestErrors:
@@ -397,14 +488,18 @@ file_bodies = st.one_of(
         b"# sample_rate_hz=1e-307\n", b"# sample_interval_s=1e307\n",
     ]),
     body=file_bodies,
+    other=file_bodies,
 )
-def test_cli_exit_contract_on_any_file(tmp_path_factory, header, body):
+def test_cli_exit_contract_on_any_file(tmp_path_factory, header, body, other):
     # whatever a signal file holds, a command exits 0 or 2, and a refusal
     # is one stderr line; a numpy overflow on the way to exit 0 fails too
     folder = tmp_path_factory.mktemp("any")
-    path, out = folder / "sig.csv", folder / "dec.csv"
+    path, other_path, out = folder / "sig.csv", folder / "other.csv", folder / "dec.csv"
     path.write_bytes(header + body)
-    for argv in (["decompose", path, "--method", "emd", "-o", out], ["metrics", path, path]):
+    other_path.write_bytes(header + other)
+    for argv in (
+        ["decompose", path, "--method", "emd", "-o", out], ["metrics", path, other_path]
+    ):
         stderr = io.StringIO()
         with (
             contextlib.redirect_stderr(stderr),

@@ -8,6 +8,7 @@ from iceemd import (
     ApEnConfig,
     Decomposition,
     EnsembleConfig,
+    InvalidSignalError,
     Signal,
     SignalFormatError,
     __version__,
@@ -175,6 +176,15 @@ class TestDecompositionCsv:
             line for line in path.read_text().splitlines() if not line.startswith("#")
         ][0]
         assert header.split(",") == ["t"] + [f"imf{i}" for i in range(1, 7)] + ["residue"]
+
+    @pytest.mark.parametrize("rate", [1e-307, 0.0, -1.0, float("nan"), float("inf")])
+    def test_writer_refuses_bad_rate_before_opening(self, tmp_path, rate):
+        # 1 / 1e-307 is finite, but the 40th sample time, 39 / 1e-307, is not
+        dec = Decomposition(imfs=[], residue=np.sin(0.7 * np.arange(40)))
+        path = tmp_path / "dec.csv"
+        with pytest.raises(InvalidSignalError, match="sample_rate_hz"):
+            write_decomposition_csv(dec, path, rate)
+        assert not path.exists()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "dec.csv"

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iceemd import (
     InvalidConfigError,
@@ -16,6 +19,7 @@ from iceemd import (
     synth_echo_signal,
     synth_signal,
 )
+from iceemd.types import binary_exponent
 
 
 class TestSynthSignal:
@@ -112,6 +116,64 @@ class TestMetrics:
         z = Signal(np.zeros(10), 1000.0)
         with pytest.raises(InvalidSignalError):
             snr(z, z)
+
+    @pytest.mark.parametrize("k, expected", [
+        (-1073, -1073), (-600, -600), (-500, -500), (-499, 0), (0, 0), (501, 0),
+        (502, 502), (1024, 1024),
+    ])
+    def test_binary_exponent(self, k, expected):
+        # the largest magnitude is 2**(k - 1): exponent k, unless it lies in
+        # [2**-500, 2**500]
+        x = np.array([0.0, -math.ldexp(0.5, k), math.ldexp(0.25, k)])
+        assert binary_exponent(x) == expected
+        assert binary_exponent(np.zeros(3), x) == expected
+        assert binary_exponent(np.zeros(2), np.zeros(0)) == 0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MAX = Fraction(np.finfo(np.float64).max)
+SMALLEST_NORMAL = Fraction(np.finfo(np.float64).tiny)
+
+
+def _db(ratio: Fraction) -> float:
+    return 10.0 * (math.log10(ratio.numerator) - math.log10(ratio.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=8))
+def test_metrics_exact_at_any_amplitude(pairs):
+    # against exact rational arithmetic: snr and rmse are right to rounding
+    # wherever their value is a normal float64, and refuse where it is far
+    # outside; near the edges either outcome is allowed
+    x, xhat = (np.array(column) for column in zip(*pairs))
+    reference, estimate = Signal(x, 1.0), Signal(xhat, 1.0)
+    fx, fe = [Fraction(v) for v in x], [Fraction(a) - Fraction(b) for a, b in pairs]
+    signal_energy, error_energy = sum(v * v for v in fx), sum(e * e for e in fe)
+    if signal_energy == 0:
+        with pytest.raises(InvalidSignalError, match="zero energy"):
+            snr(reference, estimate)
+    elif error_energy == 0:
+        assert snr(reference, estimate) == math.inf
+    else:
+        ratio = signal_energy / error_energy
+        if SMALLEST_NORMAL * 2 <= ratio <= MAX / 2:
+            assert snr(reference, estimate) == pytest.approx(_db(ratio), abs=1e-9)
+        elif not SMALLEST_NORMAL / 2 <= ratio <= MAX * 2:
+            with pytest.raises(InvalidSignalError, match="float64 range"):
+                snr(reference, estimate)
+    mean_square = error_energy / len(pairs)
+    if mean_square > MAX * MAX * 2:
+        with pytest.raises(InvalidSignalError, match="overflows"):
+            rmse(reference, estimate)
+    elif mean_square < MAX * MAX / 2:
+        # differences below 2**-1074 of the largest magnitude are lost to
+        # scaling, and the result itself may be subnormal
+        got = Fraction(rmse(reference, estimate))
+        lost = (Fraction(max(abs(v) for v in [*x, *xhat])) * Fraction(2) ** -1000) ** 2
+        ulp = Fraction(2) ** -1074
+        assert abs(got**2 - mean_square) <= (
+            mean_square / 10**12 + lost + (2 * got + ulp) * ulp
+        )
 
 
 class TestAddNoise:
