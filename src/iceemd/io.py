@@ -12,6 +12,7 @@ lossless; files are UTF-8 with `\n` line endings.
 from __future__ import annotations
 
 import json
+from array import array
 
 import numpy as np
 
@@ -116,8 +117,9 @@ def _read_file(path: str) -> tuple[dict[str, tuple[int, str]], float, list[tuple
 
 
 def _read_rows(path: str, rows: list[tuple[int, str]], n_columns: int) -> np.ndarray:
-    """Rows of n_columns comma-separated finite numbers, as an (rows, n_columns) array."""
-    values: list[float] = []
+    """Rows of n_columns comma-separated finite numbers, as C-contiguous
+    columns: an (n_columns, rows) array."""
+    values = array("d")
     for lineno, line in rows:
         fields = line.split(",")
         if len(fields) != n_columns:
@@ -125,20 +127,20 @@ def _read_rows(path: str, rows: list[tuple[int, str]], n_columns: int) -> np.nda
                 f"{path}: expected {n_columns} columns, got {len(fields)}", line=lineno
             )
         try:
-            values.extend([float(f) for f in fields])
+            values.extend(map(float, fields))
         except ValueError:
             raise SignalFormatError(
                 f"{path}: non-numeric value {line.strip()!r}", line=lineno
             ) from None
     if not rows:
         raise SignalFormatError(f"{path}: no data rows")
-    data = np.array(values).reshape(len(rows), n_columns)
+    data = np.frombuffer(values).reshape(len(rows), n_columns)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise SignalFormatError(
             f"{path}: non-finite value", line=rows[int(np.argmin(finite))][0]
         )
-    return data
+    return data.T.copy()
 
 
 def read_signal_csv(path) -> Signal:
@@ -150,8 +152,8 @@ def read_signal_csv(path) -> Signal:
         raise SignalFormatError(
             f"{path}: expected 1 or 2 columns, got {n_columns}", line=body[0][0]
         )
-    data = _read_rows(path, body, n_columns)
-    amplitudes = data[:, -1].copy()
+    columns = _read_rows(path, body, n_columns)
+    amplitudes = columns[-1]
 
     n_samples = _header_number(path, meta, "n_samples")
     if n_samples is not None and n_samples != amplitudes.size:
@@ -160,7 +162,7 @@ def read_signal_csv(path) -> Signal:
             line=meta["n_samples"][0],
         )
     if n_columns == 2:
-        dt = np.diff(data[:, 0])
+        dt = np.diff(columns[0])
         interval = 1.0 / rate_hz
         if np.any(np.abs(dt - interval) > _RATE_TOLERANCE * interval):
             raise SignalFormatError(
@@ -215,9 +217,7 @@ def read_decomposition_csv(path) -> tuple[Decomposition, float]:
         raise SignalFormatError(
             f"{path}: expected columns {expected}, got {names}", line=header_lineno
         )
-    data = _read_rows(path, body[1:], len(names))
-    imfs = [data[:, k].copy() for k in range(1, len(names) - 1)]
-    residue = data[:, -1].copy()
+    _, *imfs, residue = _read_rows(path, body[1:], len(names))
     return Decomposition(imfs=imfs, residue=residue, noise_floor=noise_floor), rate
 
 

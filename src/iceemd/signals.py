@@ -133,6 +133,8 @@ def rmse(reference: Signal, estimate: Signal) -> float:
     beyond float64 range is an InvalidSignalError.
     """
     err, j = _scaled_error(reference, estimate)
+    if not err.size:
+        raise InvalidSignalError("the RMSE of two empty signals is undefined")
     try:
         return math.ldexp(math.sqrt(float(np.dot(err, err)) / err.size), j)
     except OverflowError:
@@ -143,28 +145,35 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     """Add seeded Gaussian noise scaled so the realized SNR hits the target.
 
     The noise is rescaled against its own realized energy, so the measured
-    SNR equals target_snr_db to machine precision. A target whose noise
-    scale is not a finite positive number (a non-finite one, or one so
-    extreme that 10 ** (target / 10) overflows or the scale underflows to
-    0) is refused.
+    SNR equals target_snr_db to machine precision. The signal's energy is
+    taken on a copy scaled by a power of two, so any finite amplitude
+    works. A target whose noise scale is not a finite positive number (a
+    non-finite one, or one so extreme that 10 ** (target / 10) overflows
+    or the scale under- or overflows) is refused, and so is a noisy signal
+    whose samples overflow float64.
     """
     x = as_float_array(signal.samples)
-    signal_energy = float(np.dot(x, x))
-    if not 0.0 < signal_energy < math.inf:
+    scaled, k = _scaled(x)
+    signal_energy = float(np.dot(scaled, scaled))
+    if not signal_energy > 0.0:
         raise InvalidSignalError(f"cannot set an SNR against a signal of energy {signal_energy}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(x.size)
     noise_energy = float(np.dot(noise, noise))
     try:
         target_energy = signal_energy / 10.0 ** (target_snr_db / 10.0)
-        scale = math.sqrt(target_energy / noise_energy)
+        scale = math.ldexp(math.sqrt(target_energy / noise_energy), k)
     except (OverflowError, ZeroDivisionError):
         scale = math.nan
     if not (math.isfinite(scale) and scale > 0):
         raise InvalidConfigError(
             f"snr_db={target_snr_db} gives no finite, positive noise scale"
         )
-    return signal.with_samples(x + scale * noise)
+    with np.errstate(over="ignore"):
+        noisy = x + scale * noise
+    if not np.isfinite(noisy).all():
+        raise InvalidSignalError("the noisy signal overflows float64")
+    return signal.with_samples(noisy)
 
 
 def spectrum(samples, fs: float) -> Spectrum:

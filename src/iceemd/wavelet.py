@@ -6,7 +6,8 @@ input exactly (within float accumulation); denoising shrinks every detail
 band by the universal threshold and leaves the approximation alone.
 n samples support up to _max_levels(n) levels with every wavelet, even
 where a band is shorter than the filter. dwt refuses more; wavelet_denoise
-uses at most its configured levels, and at least one.
+uses at most its configured levels, and at least one, so it needs at least
+8 samples.
 """
 from __future__ import annotations
 
@@ -387,12 +388,14 @@ def wavelet_denoise(signal, cfg: DenoiseConfig = DenoiseConfig()) -> np.ndarray:
     """Universal soft-threshold denoising.
 
     Analyze with at most cfg.levels levels (as many as the series supports,
-    at least one), estimate the noise scale, shrink the detail bands by
-    sigma * sqrt(2 ln n) (approximation untouched), synthesize.
+    at least one, so at least 8 samples), estimate the noise scale, shrink
+    the detail bands by sigma * sqrt(2 ln n) (approximation untouched),
+    synthesize.
     """
     x = as_float_array(signal)
-    levels = max(1, min(cfg.levels, _max_levels(x.size)))
-    coeffs = dwt(x, replace(cfg, levels=levels))
+    if x.size < 8:
+        raise InvalidSignalError(f"wavelet denoising needs at least 8 samples, got {x.size}")
+    coeffs = dwt(x, replace(cfg, levels=min(cfg.levels, _max_levels(x.size))))
     sigma = _estimate_sigma(x, coeffs, cfg.sigma_estimator)
     lam = universal_threshold(sigma, x.size)
     shrunk = [soft_threshold(d, lam) for d in coeffs.details]

@@ -492,13 +492,17 @@ file_bodies = st.one_of(
 )
 def test_cli_exit_contract_on_any_file(tmp_path_factory, header, body, other):
     # whatever a signal file holds, a command exits 0 or 2, and a refusal
-    # is one stderr line; a numpy overflow on the way to exit 0 fails too
+    # is one stderr line; a numpy overflow on the way to exit 0 fails too.
+    # apen reads the same body under a decomposition's column row
     folder = tmp_path_factory.mktemp("any")
     path, other_path, out = folder / "sig.csv", folder / "other.csv", folder / "dec.csv"
+    dec_path, apen_out = folder / "in_dec.csv", folder / "apen.json"
     path.write_bytes(header + body)
     other_path.write_bytes(header + other)
+    dec_path.write_bytes(header + b"t,imf1,residue\n" + body)
     for argv in (
-        ["decompose", path, "--method", "emd", "-o", out], ["metrics", path, other_path]
+        ["decompose", path, "--method", "emd", "-o", out], ["metrics", path, other_path],
+        ["apen", dec_path, "-o", apen_out],
     ):
         stderr = io.StringIO()
         with (

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,28 @@ def test_writers_exact_bytes(tmp_path):
         b"0,-0,2.2250738585072014e-308,0.10000000000000001\n"
         b"0.001,4.9406564584124654e-324,1.7976931348623157e+308,0.33333333333333331\n"
     )
+
+
+class TestBoundedMemory:
+    """A field-length decomposition, 50,000 rows by t, 12 IMFs and the
+    residue: its values take 5.3 MiB, its text 14 MB."""
+
+    ROWS, N_IMFS = 50_000, 12
+    LIMIT = 40 * 2**20
+
+    def test_decomposition_read_peak(self, tmp_path):
+        columns = np.random.default_rng(22).standard_normal((self.N_IMFS + 1, self.ROWS))
+        dec = Decomposition(imfs=list(columns[:-1]), residue=columns[-1])
+        path = tmp_path / "dec.csv"
+        write_decomposition_csv(dec, path, 250_000.0)
+        tracemalloc.start()
+        try:
+            back, _ = read_decomposition_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.LIMIT
+        assert np.array_equal(np.stack([*back.imfs, back.residue]), columns)
 
 
 class TestReport:

@@ -117,6 +117,11 @@ class TestMetrics:
         with pytest.raises(InvalidSignalError):
             snr(z, z)
 
+    def test_rmse_of_empty_signals_rejected(self):
+        empty = Signal([], 1.0)
+        with pytest.raises(InvalidSignalError, match="empty"):
+            rmse(empty, empty)
+
     @pytest.mark.parametrize("k, expected", [
         (-1073, -1073), (-600, -600), (-500, -500), (-499, 0), (0, 0), (501, 0),
         (502, 502), (1024, 1024),
@@ -212,11 +217,17 @@ class TestAddNoise:
         with pytest.raises(InvalidSignalError):
             add_noise_snr(Signal(np.zeros(100), 1000.0), 5.0, seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
-    def test_overflowing_energy_rejected(self):
-        # the signal's energy, not the target, leaves no finite noise scale
-        with pytest.raises(InvalidSignalError, match="energy"):
-            add_noise_snr(Signal(np.full(100, 1e160), 1000.0), 5.0, seed=0)
+    @pytest.mark.parametrize("amplitude", [1e160, 1e300, 1e-300])
+    def test_exact_target_at_any_amplitude(self, amplitude):
+        # the energy is taken on a copy scaled by a power of two, so a
+        # signal whose squares over- or underflow still gets its target
+        sig = Signal(np.full(100, amplitude), 1000.0)
+        noisy = add_noise_snr(sig, 5.0, seed=0)
+        assert snr(sig, noisy) == pytest.approx(5.0, abs=1e-12)
+
+    def test_overflowing_noisy_signal_rejected(self):
+        with pytest.raises(InvalidSignalError, match="overflows float64"):
+            add_noise_snr(Signal([0.0, 1.7e308, 0.0, -1.0, 0.0], 1.0), 5.0, seed=1)
 
 
 class TestSpectrum:

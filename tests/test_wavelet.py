@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from iceemd import (
     DenoiseConfig,
     InvalidConfigError,
+    InvalidSignalError,
     dwt,
     idwt,
     soft_threshold,
@@ -207,6 +208,13 @@ class TestDenoise:
         four = wavelet_denoise(x, DenoiseConfig(levels=4, extension_mode=mode))
         three = wavelet_denoise(x, DenoiseConfig(levels=3, extension_mode=mode))
         assert four.tobytes() == three.tobytes()
+
+    def test_fewer_than_eight_samples_rejected(self):
+        # one level needs 8 samples; the caller set no level count, so the
+        # signal is at fault, not the config
+        with pytest.raises(InvalidSignalError, match="at least 8 samples, got 7"):
+            wavelet_denoise(np.arange(7.0))
+        assert wavelet_denoise(np.arange(8.0)).shape == (8,)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
