@@ -14,6 +14,10 @@ rows in one call. The envelopes of all rows are one piecewise cubic per
 side, a block per row, each block solved by LAPACK's tridiagonal solver
 and bit-identical to scipy's CubicSpline(bc_type="natural") of that
 row's knots.
+
+Every row is sifted at unit scale (see extract_imf), so a decomposition
+does not depend on the amplitude: a row scaled by a power of two gives
+modes scaled by it, bit for bit, wherever they stay normal.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from scipy.interpolate import PPoly
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidConfigError, InvalidSignalError, NotEnoughExtremaError
-from .types import Decomposition, Signal, as_float_array
+from .types import Decomposition, Signal, as_float_array, binary_exponent
 
 # Mode cap of emd, and of EnsembleConfig.max_modes
 DEFAULT_MAX_MODES = 12
@@ -77,6 +81,13 @@ def _as_rows(samples) -> np.ndarray:
     if arr.ndim == 2:
         return as_float_array(arr, ndim=2)
     return as_float_array(arr)[None]
+
+
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x, each scaled by 2**-k with binary_exponent's k for
+    that row, and the k as a column: the scale every row is sifted at."""
+    k = np.array([binary_exponent(row) for row in x])[:, None]
+    return np.ldexp(x, -k), k
 
 
 def _row_bounds(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
@@ -294,11 +305,6 @@ def _zero_crossings(y: np.ndarray) -> int:
     return int(np.sum(s[:-1] != s[1:]))
 
 
-def _is_imf_like(y: np.ndarray, n_extrema: int) -> bool:
-    """Extrema and zero-crossing counts differ by at most one."""
-    return abs(n_extrema - _zero_crossings(y)) <= 1
-
-
 def _drop_rows(flat: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
     """Flat indices of the kept rows once the dropped ones are closed up."""
     per_row = np.diff(_row_bounds(flat, keep.size, n))
@@ -317,37 +323,42 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
     the iteration cap is hit. Returns (imf, proto_residue) with
     proto_residue = samples - imf.
 
+    Each row is sifted at unit scale, on a copy scaled by 2**-k with
+    binary_exponent's k, so no square over- or underflows; the IMF is
+    scaled back by 2**k, and the residue is taken at the input's scale.
+    A row inside binary_exponent's band (k = 0) is sifted as it is, so
+    its result does not move. An IMF or residue beyond float64 raises
+    InvalidSignalError.
+
     The rows are sifted in lockstep, one mean_envelope call per pass for
     all of them. A row stops on its own test, or once its iterate has
-    lost its maxima or minima, or once its squares sum to 0 (samples so
-    small that they underflow, like 1e-170), where the change has no
-    norm: that iterate is not stepped and is its IMF. A row that stops
-    leaves the block. Each row's sums stay 1-D dot products, so every
-    row gets the IMF it would get alone.
+    lost its maxima or minima; it then leaves the block. Each row's sums
+    stay 1-D dot products, so every row gets the IMF it would get alone.
 
     Raises NotEnoughExtremaError if an input row cannot be sifted even once.
     """
     x = _as_rows(samples)
     n = x.shape[1]
     imf = np.empty_like(x)
-    live = x.copy()              # the iterates of the rows still sifting
-    rows = np.arange(x.shape[0])  # and the input rows they belong to
+    live, k = _unit_rows(x)       # the iterates of the rows still sifting,
+    rows = np.arange(x.shape[0])  # the input rows they belong to
     # the extrema of each iterate serve both its IMF check and its envelope
     maxima, minima = find_extrema(live)
     for _ in range(cfg.max_sift_iterations):
         m = mean_envelope(live, maxima, minima)
         denom = np.array([np.dot(row, row) for row in live])
-        moving = denom != 0.0
-        np.subtract(live, m, out=live, where=moving[:, None])
+        live -= m
         maxima, minima = find_extrema(live)
         n_max = np.diff(_row_bounds(maxima, rows.size, n))
         n_min = np.diff(_row_bounds(minima, rows.size, n))
-        # an iterate whose squares underflow to 0 has no SD, and one too
-        # smooth to sift further is done: accept it as the IMF
-        done = ~moving | (n_max == 0) | (n_min == 0)
+        # an iterate too smooth to sift further is done: accept it as the IMF
+        done = (n_max == 0) | (n_min == 0)
         for p in np.flatnonzero(~done):
             sd = np.dot(m[p], m[p]) / denom[p]
-            done[p] = sd < SD_THRESHOLD and _is_imf_like(live[p], n_max[p] + n_min[p])
+            # the SD stop, then the mode property: extrema and zero crossings
+            # differ by at most one
+            done[p] = sd < SD_THRESHOLD and (
+                abs(n_max[p] + n_min[p] - _zero_crossings(live[p])) <= 1)
         if done.any():
             imf[rows[done]] = live[done]
             keep = ~done
@@ -357,16 +368,25 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
             maxima = _drop_rows(maxima, keep, n)
             minima = _drop_rows(minima, keep, n)
     imf[rows] = live
+    # the residue is taken at the input's scale, so IMF plus residue is the
+    # input exactly even where the IMF scaled back rounds
+    with np.errstate(over="ignore"):
+        np.ldexp(imf, k, out=imf)
+        residue = x - imf
+    if not (np.isfinite(imf).all() and np.isfinite(residue).all()):
+        raise InvalidSignalError("an IMF or its residue overflows float64")
     if np.ndim(samples) == 1:
-        return imf[0], x[0] - imf[0]
-    return imf, x - imf
+        return imf[0], residue[0]
+    return imf, residue
 
 
 def _decomposable(y: np.ndarray):
     """True if the residue still carries an extractable oscillation: 3 or
     more extrema, which alternate, so its first envelope always exists.
-    Per row for a (rows, n) array; n must be 3 or more."""
-    rows = y.reshape(-1, y.shape[-1])
+    Per row for a (rows, n) array; n must be 3 or more. The extrema are
+    counted at the scale extract_imf sifts at, where scaling a large peak
+    down flushes to 0 an extremum below 2**-1074 of it."""
+    rows = _unit_rows(y.reshape(-1, y.shape[-1]))[0]
     maxima, minima = find_extrema(rows)
     found = (np.diff(_row_bounds(maxima, *rows.shape))
              + np.diff(_row_bounds(minima, *rows.shape))) >= 3
@@ -389,8 +409,6 @@ def _sift(x: np.ndarray, max_modes: int):
         residue[live] = proto_residue
         for row, mode in zip(live, imf):
             imfs[row].append(mode)
-        # also after the last mode: its find_extrema is the only check
-        # that the final residue is finite
         live = live[_decomposable(proto_residue)]
     return imfs, residue
 

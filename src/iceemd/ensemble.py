@@ -27,7 +27,7 @@ import numpy as np
 
 from .emd import DEFAULT_MAX_MODES, _decomposable, emd, local_mean_operator
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import Decomposition, Signal, as_float_array
+from .types import Decomposition, Signal, as_float_array, std
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,6 @@ def generate_noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
     standardized to exact zero mean and unit population std. A realization
     may have fewer modes than a stage asks for; iceemd adds 0.0 there.
     """
-    if n < 4:
-        raise InvalidSignalError(f"noise bank needs n >= 4, got {n}")
     rows = np.array([_realization(n, cfg.seed, i) for i in range(cfg.ensemble_size)])
     return [dec.imfs for dec in emd(rows, max_modes=cfg.max_modes)]
 
@@ -139,9 +137,13 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     so a mode that holds only this remnant is not taken for measurement
     noise.
 
-    An input whose standard deviation overflows float64 (samples spread
-    beyond about 1e154) raises InvalidSignalError before the noise bank is
-    built: its noise scale would be infinite.
+    The result does not depend on the input's amplitude: the standard
+    deviations are taken at unit scale (types.std), and every mode is
+    sifted at unit scale (emd.extract_imf), so a signal scaled by a power
+    of two gives modes scaled by it bit for bit while everything stays
+    normal. A stage sums ensemble_size local means before it divides, so
+    an input whose peak exceeds the float64 maximum / (4 * ensemble_size)
+    raises InvalidSignalError before the noise bank is built.
 
     The noise bank is reused from the previous call when n, seed,
     ensemble_size and max_modes are the same (epsilon0 may differ), so a
@@ -151,20 +153,18 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     x = as_float_array(signal.samples)
     if x.size < 4:
         raise InvalidSignalError(f"signal too short to decompose ({x.size} samples)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(x.std())
-    if not math.isfinite(sd):
+    # headroom for a stage's sum over the ensemble, taken before it divides
+    if np.abs(x).max() > np.finfo(np.float64).max / (4 * cfg.ensemble_size):
         raise InvalidSignalError(
-            "iceemd: the standard deviation of the input overflows float64; "
-            "rescale the input"
+            f"iceemd: the peak exceeds float64 max / (4 * {cfg.ensemble_size} members)"
         )
-    floor = cfg.epsilon0 * sd / np.sqrt(cfg.ensemble_size)
+    floor = cfg.epsilon0 * std(x) / np.sqrt(cfg.ensemble_size)
 
     bank = _noise_bank(x.size, cfg)
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < cfg.max_modes and _decomposable(residue):
-        beta = cfg.epsilon0 * float(residue.std())
+        beta = cfg.epsilon0 * std(residue)
         next_residue = _ensemble_mean_local_mean(residue, bank, len(imfs), beta)
         imfs.append(residue - next_residue)
         residue = next_residue

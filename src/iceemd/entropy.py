@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import Decomposition, as_float_array
+from .types import Decomposition, as_float_array, std
 
 # Sorted rows per block: working memory is _BLOCK times the window width.
 _BLOCK = 32
@@ -51,7 +51,7 @@ class ApEnConfig:
             warnings.warn(
                 f"tolerance_factor {self.tolerance_factor} is outside the "
                 "usual 0.1..0.2 range",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -73,10 +73,11 @@ def approximate_entropy(
     C_i^3 those z[j:j+3] (j <= n-3) that match z[i:i+3]; the entropy is
     the mean log of C^2 / (n-1) over i <= n-2 minus the mean log of
     C^3 / (n-2) over i <= n-3. The tolerance is
-    a = cfg.tolerance_factor * max(std(series), std_floor). Constant input
-    returns 0 at any floor; a standard deviation that overflows float64,
-    or a tolerance that underflows to 0 and so matches nothing, raises
-    InvalidSignalError.
+    a = cfg.tolerance_factor * max(std(series), std_floor), the std taken
+    at unit scale (types.std), so the statistic does not depend on the
+    series' amplitude. Constant input returns 0 at any floor; a tolerance
+    that underflows to 0 and so matches nothing (a series whose std is
+    subnormal) raises InvalidSignalError.
 
     Rows are taken in sorted order, _BLOCK at a time, and a block's
     candidate columns are the sorted samples from fl(z_i - a) to
@@ -95,14 +96,7 @@ def approximate_entropy(
         raise InvalidSignalError(f"approximate entropy needs n >= 10, got {n}")
     if z.min() == z.max():
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = max(float(z.std()), std_floor)
-    if not math.isfinite(sd):
-        raise InvalidSignalError(
-            "approximate entropy: the standard deviation of the samples "
-            "overflows float64; rescale the input"
-        )
-    a = cfg.tolerance_factor * sd
+    a = cfg.tolerance_factor * max(std(z), std_floor)
     if a == 0.0:
         raise InvalidSignalError(
             "approximate entropy: the tolerance underflows to 0; rescale the input"
@@ -113,19 +107,22 @@ def approximate_entropy(
     pad = np.concatenate([z, [np.nan, np.nan]])
     zs1 = pad[order + 1]
     zs2 = pad[order + 2]
-    lo = np.searchsorted(zs, zs - a, side="left")
-    hi = np.searchsorted(zs, zs + a, side="right")
-
     c2 = np.empty(n, dtype=np.int64)
     c3 = np.empty(n, dtype=np.int64)
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        cols = slice(lo[s], hi[e - 1])
-        pair = _within(zs[s:e], zs[cols], a)
-        pair &= _within(zs1[s:e], zs1[cols], a)
-        c2[order[s:e]] = pair.sum(axis=1)
-        pair &= _within(zs2[s:e], zs2[cols], a)
-        c3[order[s:e]] = pair.sum(axis=1)
+    # a bound or a difference beyond float64 overflows to an infinity of
+    # its sign: a bound then reaches past every sample, and a difference
+    # matches nothing
+    with np.errstate(over="ignore"):
+        lo = np.searchsorted(zs, zs - a, side="left")
+        hi = np.searchsorted(zs, zs + a, side="right")
+        for s in range(0, n, _BLOCK):
+            e = min(s + _BLOCK, n)
+            cols = slice(lo[s], hi[e - 1])
+            pair = _within(zs[s:e], zs[cols], a)
+            pair &= _within(zs1[s:e], zs1[cols], a)
+            c2[order[s:e]] = pair.sum(axis=1)
+            pair &= _within(zs2[s:e], zs2[cols], a)
+            c3[order[s:e]] = pair.sum(axis=1)
     phi1 = float(np.mean(np.log(c2[: n - 1] / (n - 1))))
     phi2 = float(np.mean(np.log(c3[: n - 2] / (n - 2))))
     return phi1 - phi2

@@ -147,10 +147,12 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     The noise is rescaled against its own realized energy, so the measured
     SNR equals target_snr_db to machine precision. The signal's energy is
     taken on a copy scaled by a power of two, so any finite amplitude
-    works. A target whose noise scale is not a finite positive number (a
-    non-finite one, or one so extreme that 10 ** (target / 10) overflows
-    or the scale under- or overflows) is refused, and so is a noisy signal
-    whose samples overflow float64.
+    works. A target whose noise scale is not a finite positive number at
+    unit scale (a non-finite one, or one so extreme that
+    10 ** (target / 10) overflows or the scale under- or overflows) is an
+    InvalidConfigError; a signal so small that its noise scale underflows
+    float64, or a noisy signal whose samples overflow it, is an
+    InvalidSignalError.
     """
     x = as_float_array(signal.samples)
     scaled, k = _scaled(x)
@@ -162,15 +164,21 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     noise_energy = float(np.dot(noise, noise))
     try:
         target_energy = signal_energy / 10.0 ** (target_snr_db / 10.0)
-        scale = math.ldexp(math.sqrt(target_energy / noise_energy), k)
+        ratio = math.sqrt(target_energy / noise_energy)
     except (OverflowError, ZeroDivisionError):
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
+        ratio = math.nan
+    if not (math.isfinite(ratio) and ratio > 0):
         raise InvalidConfigError(
             f"snr_db={target_snr_db} gives no finite, positive noise scale"
         )
     with np.errstate(over="ignore"):
+        scale = np.ldexp(ratio, k)
         noisy = x + scale * noise
+    if not scale > 0:
+        raise InvalidSignalError(
+            f"at snr_db={target_snr_db}, a signal of peak {float(np.abs(x).max())!r} "
+            "has a noise scale that underflows float64"
+        )
     if not np.isfinite(noisy).all():
         raise InvalidSignalError("the noisy signal overflows float64")
     return signal.with_samples(noisy)

@@ -1,4 +1,8 @@
-"""Core data containers: sampled signals and their decompositions."""
+"""Core data containers: sampled signals and their decompositions.
+
+Also the package's one amplitude rule: a sum of squares is taken at unit
+scale (binary_exponent, std), so no result depends on the float64 range.
+"""
 from __future__ import annotations
 
 import math
@@ -33,6 +37,18 @@ def binary_exponent(*arrays) -> int:
     if 2.0**-500 <= peak <= 2.0**500:
         return 0
     return math.frexp(peak)[1]
+
+
+def std(samples) -> float:
+    """Population standard deviation, its squares summed at unit scale:
+    on a copy scaled by 2**-k (k from binary_exponent), scaled back by 2**k.
+
+    Inside [2**-500, 2**500] this is float(samples.std()) bit for bit;
+    outside, no square over- or underflows. The result is at most half
+    the samples' range, so it is finite.
+    """
+    k = binary_exponent(samples)
+    return math.ldexp(float(np.ldexp(samples, -k).std()), k)
 
 
 def check_sample_rate(sample_rate_hz, n_samples: int) -> None:

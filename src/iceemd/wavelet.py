@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import as_float_array
+from .types import as_float_array, std
 
 # Orthonormal scaling filters (sum = sqrt 2, shifts pairwise orthogonal).
 # Daubechies are the minimum-phase factorizations, symlets the
@@ -379,7 +379,7 @@ def soft_threshold(coefficients, lam: float) -> np.ndarray:
 
 def _estimate_sigma(x: np.ndarray, coeffs: WaveletCoefficients, estimator: str) -> float:
     if estimator == "signal_std":
-        return float(x.std())
+        return std(x)
     finest = coeffs.details[0]
     return float(np.median(np.abs(finest))) / 0.6745
 

@@ -304,16 +304,21 @@ class TestErrors:
         assert err.startswith("error: format: line 2:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
-    def test_apen_overflowing_std_exit_2(self, tmp_path, capsys):
+    def test_apen_overflowing_squares_exit_0(self, tmp_path):
+        # the squares of this mode overflow, but its std is taken at unit
+        # scale: the entropy is that of the mode scaled by 2**-k
         imf = 1e307 * np.random.default_rng(0).standard_normal(50)
-        dec = Decomposition(imfs=[imf], residue=np.zeros(50))
-        path = tmp_path / "dec.csv"
-        write_decomposition_csv(dec, path, 1000.0)
-        assert run(["apen", path, "-o", tmp_path / "r.json"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: data:") and "overflow" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "r.json").exists()
+        k = np.frexp(np.abs(imf).max())[1]
+        entropies = []
+        for mode in (imf, np.ldexp(imf, -k)):
+            dec = Decomposition(imfs=[mode], residue=np.zeros(50))
+            path, report = tmp_path / "dec.csv", tmp_path / "r.json"
+            write_decomposition_csv(dec, path, 1000.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["apen", path, "-o", report]) == 0
+            entropies.append(read_report(report)["apen_table"]["per_imf"][0]["apen"])
+        assert entropies[0] == entropies[1]
 
     def test_apen_zero_mode_at_subnormal_floor_is_zero(self, tmp_path):
         # a tolerance of 0.15 * 5e-324 underflows to 0; the all-zero mode
@@ -326,33 +331,42 @@ class TestErrors:
             assert run(["apen", path, "-o", report]) == 0
         assert read_report(report)["apen_table"]["per_imf"][0]["apen"] == 0.0
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
-    def test_denoise_underflowing_tolerance_exit_2(self, tmp_path, capsys, scale):
-        # the std of these modes underflows, so their entropy tolerance is 0
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-160, 1e200, 1e300])
+    def test_denoise_at_any_amplitude_exit_0(self, tmp_path, scale):
+        # squares of these records under- or overflow, but every sum of
+        # squares is taken at unit scale: the scale-1 flags give the scale-1
+        # gate decisions and output, up to the rounding of a decimal scale
+        # (and of subnormal samples at 1e-310)
         noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
-        sig = tmp_path / "sig.csv"
-        write_signal_csv(noisy.with_samples(scale * noisy.samples), sig)
-        out = tmp_path / "out.csv"
-        argv = ["denoise", sig, "--seed", 1, "--ensemble-size", 10, "-o", out]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: data:") and "underflow" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not out.exists()
+        outputs, flags = [], []
+        for s in (1.0, scale):
+            sig, out, report = tmp_path / "sig.csv", tmp_path / "out.csv", tmp_path / "r.json"
+            write_signal_csv(noisy.with_samples(s * noisy.samples), sig)
+            argv = ["denoise", sig, "--seed", 1, "--ensemble-size", 10, "-o", out,
+                    "--report", report]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(argv) == 0
+            outputs.append(read_signal_csv(out).samples / s)
+            flags.append([row["flagged"] for row in read_report(report)["apen_table"]["per_imf"]])
+        assert flags[1] == flags[0] and any(flags[0])
+        np.testing.assert_allclose(outputs[1], outputs[0], rtol=0,
+                                   atol=1e-12 * np.abs(outputs[0]).max())
 
     def test_denoise_overflowing_std_exit_2(self, tmp_path, capsys):
-        # the input's std, and so the ensemble's noise scale, overflows
+        # at 2**1021 a stage's sum over 10 members could overflow: refused
+        # before any work, naming float64, without a numpy warning
         noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
         sig = tmp_path / "sig.csv"
-        write_signal_csv(noisy.with_samples(1e300 * noisy.samples), sig)
+        write_signal_csv(noisy.with_samples(np.ldexp(noisy.samples, 1021)), sig)
         out = tmp_path / "out.csv"
         argv = ["denoise", sig, "--seed", 1, "--ensemble-size", 10, "-o", out]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: data:") and "standard deviation" in err
-        assert "overflows" in err and "NaN" not in err
+        assert err.startswith("error: data:") and "float64" in err
+        assert "NaN" not in err and "Inf" not in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
@@ -394,6 +408,13 @@ class TestBench:
             assert {"snr_mean", "snr_std", "rmse_mean", "rmse_std"} <= set(table[key])
         assert table["original"]["snr_mean"] == pytest.approx(5.0, abs=1e-6)
         assert table["config_echo"]["seeds"] == 2
+
+    def test_zero_seeds_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        assert run(["bench", "--seeds", 0, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: usage: --seeds must be >= 1\n"
+        assert not out.exists()
 
 
 class TestConfigErrors:
@@ -474,10 +495,14 @@ class TestNonFiniteFlags:
 
 
 # a file body: arbitrary bytes, or text made of what CSV numbers and
-# headers are made of, so that some bodies parse and some do not
+# headers are made of, so that some bodies parse and some do not, or a
+# well-formed column of any finite float64 values, up to +-max and subnormal
 file_bodies = st.one_of(
     st.binary(max_size=200),
     st.text(alphabet="0123456789.-+eEinfa,# =\n\r\t", max_size=200).map(str.encode),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40).map(
+        lambda values: "".join(f"{v!r}\n" for v in values).encode()
+    ),
 )
 
 
@@ -492,8 +517,10 @@ file_bodies = st.one_of(
 )
 def test_cli_exit_contract_on_any_file(tmp_path_factory, header, body, other):
     # whatever a signal file holds, a command exits 0 or 2, and a refusal
-    # is one stderr line; a numpy overflow on the way to exit 0 fails too.
-    # apen reads the same body under a decomposition's column row
+    # is one stderr line; the readers refuse a non-finite value themselves,
+    # so no refusal blames "NaN or Inf" met on the way. A warning on the
+    # way, numpy's or another, fails too. apen reads the same body under a
+    # decomposition's column row
     folder = tmp_path_factory.mktemp("any")
     path, other_path, out = folder / "sig.csv", folder / "other.csv", folder / "dec.csv"
     dec_path, apen_out = folder / "in_dec.csv", folder / "apen.json"
@@ -510,8 +537,9 @@ def test_cli_exit_contract_on_any_file(tmp_path_factory, header, body, other):
             contextlib.redirect_stdout(io.StringIO()),
             warnings.catch_warnings(),
         ):
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             code = run(argv)
         assert code in (0, 2)
         if code == 2:
             assert stderr.getvalue().count("\n") == 1
+            assert "NaN or Inf" not in stderr.getvalue()

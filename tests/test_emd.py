@@ -25,7 +25,7 @@ from iceemd.emd import (
     mean_envelope,
 )
 from iceemd.ensemble import _realization, generate_noise_bank
-from iceemd.signals import dominant_frequency
+from iceemd.signals import add_noise_snr, dominant_frequency, synth_echo_signal
 
 from sift_oracle import emd_reference
 
@@ -549,6 +549,57 @@ class TestEmd:
         with pytest.raises(InvalidSignalError):
             emd(Signal([1.0, 2.0, 1.0], FS))
 
+    @pytest.mark.parametrize("k", [-1000, -540, 530, 1010])
+    def test_noisy_echo_at_any_power_of_two(self, k):
+        # every row is sifted at unit scale, so the echo's modes scale with
+        # it bit for bit, far outside the range where its squares are finite
+        y = add_noise_snr(synth_echo_signal(), 5.0, seed=1)
+        dec = emd(y)
+        scaled = emd(y.with_samples(np.ldexp(y.samples, k)))
+        assert dec.n_imfs >= 4 and scaled.n_imfs == dec.n_imfs
+        for part, scaled_part in zip([*dec.imfs, dec.residue], [*scaled.imfs, scaled.residue]):
+            assert _bits(np.ldexp(part, k)) == _bits(scaled_part)
+
+    def test_step_of_the_size_of_float64_decomposes(self):
+        # the sift's squares would overflow, and the first slope of the
+        # residue does: neither is a warning or an error
+        y = np.array([0.0, -5.99e307, 0.0, -1.0, 0.0])
+        dec = emd(Signal(y, FS))
+        assert dec.n_imfs == 1
+        np.testing.assert_allclose(dec.reconstruct(), y, rtol=0, atol=1e-10 * 5.99e307)
+
+    def test_imf_beyond_float64_rejected(self):
+        # the envelope swings past this near-maximal peak: scaled back, the
+        # IMF leaves float64, which is refused by name
+        y = np.array([0.0, 1.7e308, -1.7e308, 1.7e308, 0.0, 1.7e308, 0.0])
+        with pytest.raises(InvalidSignalError, match="overflows float64"):
+            emd(Signal(y, FS))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+def _stays_normal(a, k):
+    """Every nonzero element of a, scaled by 2**k, is a normal float64."""
+    a = np.asarray(a)
+    return bool(np.all(np.abs(np.ldexp(a[a != 0.0], k)) >= np.finfo(np.float64).tiny))
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_series.filter(lambda y: y.size >= 4), st.integers(-1000, 1000))
+def test_emd_is_equivariant_under_powers_of_two(y, k):
+    # where the input and every part of the decomposition are normal at
+    # both scales, emd(2**k y) is 2**k emd(y) bit for bit: each row is
+    # sifted at unit scale, and scaling by a power of two is exact there
+    dec = emd(Signal(y, FS))
+    parts = [y, *dec.imfs, dec.residue]
+    assume(all(_stays_normal(p, 0) and _stays_normal(p, k) for p in parts))
+    scaled = emd(Signal(np.ldexp(y, k), FS))
+    assert scaled.n_imfs == dec.n_imfs
+    for part, scaled_part in zip(parts[1:], [*scaled.imfs, scaled.residue]):
+        assert _bits(np.ldexp(part, k)) == _bits(scaled_part)
+
 
 class TestOperators:
     def test_first_mode_of_sine_is_sine(self):
@@ -611,3 +662,22 @@ class TestSiftConfig:
     def test_max_modes_below_one_is_config_error(self):
         with pytest.raises(InvalidConfigError, match="max_modes"):
             emd(Signal(sine(20), FS), max_modes=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(4, 40),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_any_finite_array_reconstructs(y):
+    # whatever its amplitudes, a finite record decomposes without a
+    # warning into parts that sum back to it, or an IMF or residue beyond
+    # float64 is refused by name. The sum is checked at unit scale, where
+    # the parts' partial sums cannot overflow
+    try:
+        dec = emd(Signal(y, FS))
+    except InvalidSignalError as err:
+        assert "overflows float64" in str(err)
+        return
+    k = int(np.frexp(np.abs(y).max())[1])
+    parts = np.ldexp(np.array([*dec.imfs, dec.residue]), -k)
+    error = np.abs(parts.sum(axis=0) - np.ldexp(y, -k)).max()
+    assert error <= 1e-12 * np.abs(parts).max()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import iceemd.ensemble as ensemble_module
-from iceemd import EnsembleConfig, InvalidSignalError, Signal, emd, iceemd
+from iceemd import EnsembleConfig, InvalidConfigError, InvalidSignalError, Signal, emd, iceemd
 from iceemd.emd import extract_imf, local_mean_operator
 from iceemd.ensemble import _realization, generate_noise_bank
 from iceemd.signals import add_noise_snr, dominant_frequency, synth_signal
@@ -171,6 +171,28 @@ class TestIceemd:
             EnsembleConfig(epsilon0=0.0)
         with pytest.raises(ValueError):
             EnsembleConfig(seed=-1)
+
+    def test_zero_max_modes_rejected(self):
+        with pytest.raises(InvalidConfigError, match="max_modes must be >= 1, got 0"):
+            EnsembleConfig(max_modes=0)
+
+    def test_too_short(self):
+        with pytest.raises(InvalidSignalError, match="too short to decompose"):
+            iceemd(Signal([1.0, -1.0, 1.0], FS), EnsembleConfig(ensemble_size=1, seed=0))
+
+    def test_peak_beyond_the_ensemble_headroom_rejected(self):
+        # a stage sums 4 members before it divides: a peak of float64 max / 16
+        # decomposes, one ulp above it is refused before the noise bank
+        cfg = EnsembleConfig(ensemble_size=4, seed=0)
+        y = two_tone(n=400)
+        y = y / np.abs(y).max() * (np.finfo(np.float64).max / 16)
+        dec = iceemd(Signal(y, FS), cfg)
+        assert dec.n_imfs >= 2 and np.all(np.isfinite(dec.reconstruct()))
+        y[np.argmax(np.abs(y))] = np.nextafter(np.abs(y).max(), np.inf)
+        with mock.patch.object(ensemble_module, "generate_noise_bank") as bank:
+            with pytest.raises(InvalidSignalError, match=r"float64 max / \(4 \* 4 members\)"):
+                iceemd(Signal(y, FS), cfg)
+        bank.assert_not_called()
 
 
 class TestLockstep:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -106,8 +106,11 @@ class TestApproximateEntropy:
             approximate_entropy(np.arange(9, dtype=float))
 
     def test_tolerance_factor_warning(self):
-        with pytest.warns(UserWarning):
+        # the warning points at the caller's line, not into the generated
+        # dataclass __init__
+        with pytest.warns(UserWarning) as record:
             ApEnConfig(tolerance_factor=0.5)
+        assert record[0].filename == __file__
 
 
 def _dense(z, cfg, std_floor=0.0):
@@ -176,23 +179,63 @@ def _bits(x):
     return np.float64(x).view(np.int64)
 
 
+def _unit_exponent(z):
+    """0 for a largest magnitude in [2**-500, 2**500], else its frexp
+    exponent, written out here so the oracle does not lean on types."""
+    peak = float(np.abs(z).max())
+    return 0 if 2.0**-500 <= peak <= 2.0**500 else math.frexp(peak)[1]
+
+
 @settings(max_examples=400, deadline=None)
 @given(z=_finite_samples(), std_floor=st.one_of(st.just(0.0), st.floats(0.0, 1e308)))
 def test_equals_dense_oracle_bit_for_bit(z, std_floor):
+    # the oracle runs at unit scale: on z * 2**-k, the floor scaled alike
+    # (to infinity where it dwarfs z, which still matches every pair), k
+    # bringing the largest magnitude into [0.5, 1) outside [2**-500, 2**500]
     cfg = ApEnConfig()
+    k = _unit_exponent(z)
+    unit = np.ldexp(z, -k)
+    with np.errstate(over="ignore"):
+        unit_floor = float(np.ldexp(std_floor, -k))
+    if z.min() != z.max() and cfg.tolerance_factor * max(
+        math.ldexp(float(unit.std()), k), std_floor
+    ) == 0.0:
+        with pytest.raises(InvalidSignalError, match="underflow"):
+            approximate_entropy(z, cfg, std_floor)
+        return
+    value = approximate_entropy(z, cfg, std_floor)
     with np.errstate(all="ignore"):
-        sd = max(float(z.std()), std_floor)
-        if z.min() != z.max() and not math.isfinite(sd):
-            with pytest.raises(InvalidSignalError, match="overflow"):
-                approximate_entropy(z, cfg, std_floor)
-            return
-        if z.min() != z.max() and cfg.tolerance_factor * sd == 0.0:
-            with pytest.raises(InvalidSignalError, match="underflow"):
-                approximate_entropy(z, cfg, std_floor)
-            return
-        value = approximate_entropy(z, cfg, std_floor)
-        expected = 0.0 if z.min() == z.max() else apen_dense(z, cfg.tolerance_factor * sd)
+        expected = 0.0 if z.min() == z.max() else apen_dense(
+            unit, cfg.tolerance_factor * max(float(unit.std()), unit_floor)
+        )
     assert _bits(value) == _bits(expected)
+
+
+def _stays_normal(a, k):
+    """Every nonzero element of a, scaled by 2**k, is a normal float64."""
+    a = np.asarray(a, dtype=np.float64)
+    return bool(np.all(np.abs(np.ldexp(a[a != 0.0], k)) >= np.finfo(np.float64).tiny))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    z=st.integers(10, 120).flatmap(lambda n: st.one_of(
+        arrays(np.float64, n, elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, n, elements=st.integers(-3, 3).map(float)),
+    )),
+    floor=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    k=st.integers(-1000, 1000),
+)
+def test_invariant_under_powers_of_two(z, floor, k):
+    # the tolerance is relative to a std taken at unit scale, so scaling
+    # the series and its floor by 2**k leaves the entropy as it is, bit
+    # for bit, wherever the samples and the tolerance stay normal
+    cfg = ApEnConfig()
+    tolerance = cfg.tolerance_factor * max(float(z.std()), floor)
+    assume(_stays_normal(z, 0) and _stays_normal(z, k))
+    assume(_stays_normal(tolerance, 0) and _stays_normal(tolerance, k))
+    value = approximate_entropy(z, cfg, floor)
+    assert _bits(approximate_entropy(np.ldexp(z, k), cfg, math.ldexp(floor, k))) == _bits(value)
 
 
 class TestBoundedMemory:
@@ -223,16 +266,26 @@ class TestBoundedMemory:
         assert value == 0.0
 
 
+def _assert_entropy_at_unit_scale(z):
+    """The entropy of z is, without a warning, that of z * 2**-k with the
+    largest magnitude in [0.5, 1), and the oracle's there."""
+    k = math.frexp(float(np.abs(z).max()))[1]
+    unit = np.ldexp(z, -k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = approximate_entropy(z)
+    assert value == approximate_entropy(unit)
+    assert value == apen_dense(unit, ApEnConfig().tolerance_factor * float(unit.std()))
+
+
 class TestOverflowingStd:
     @pytest.mark.parametrize("z", [
         np.array([1e308, -1e308] * 10),
         1e307 * np.random.default_rng(0).standard_normal(50),
     ], ids=["alternating-1e308", "noise-1e307"])
-    def test_rejected_without_warnings(self, z):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidSignalError, match="overflow"):
-                approximate_entropy(z)
+    def test_equals_entropy_at_unit_scale(self, z):
+        # squares that overflow are summed at unit scale
+        _assert_entropy_at_unit_scale(z)
 
     def test_finite_std_unaffected(self):
         z = 1e150 * np.random.default_rng(0).standard_normal(50)
@@ -252,13 +305,20 @@ class TestZeroRangeAndUnderflow:
 
     @pytest.mark.parametrize("z, std_floor", [
         (np.array([5e-324, 0.0] * 10), 5e-324),
-        (1e-300 * np.random.default_rng(0).standard_normal(50), 0.0),
-    ], ids=["subnormal-steps", "noise-1e-300"])
+    ], ids=["subnormal-steps"])
     def test_rejected_without_warnings(self, z, std_floor):
+        # a subnormal std gives a tolerance that underflows to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidSignalError, match="underflow"):
                 approximate_entropy(z, ApEnConfig(), std_floor)
+
+    @pytest.mark.parametrize("z", [
+        1e-300 * np.random.default_rng(0).standard_normal(50),
+    ], ids=["noise-1e-300"])
+    def test_squares_that_underflow_equal_unit_scale(self, z):
+        # squares that underflow are summed at unit scale
+        _assert_entropy_at_unit_scale(z)
 
 
 class TestApenPerImf:

@@ -51,6 +51,13 @@ class TestSignalCsv:
         assert len(sig) == 980
         assert sig.sample_rate_hz == 10498.0
 
+    def test_three_columns_rejected_with_line(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# sample_rate_hz=1000\n0,1,2\n0.001,1,2\n")
+        with pytest.raises(SignalFormatError, match="expected 1 or 2 columns, got 3") as err:
+            read_signal_csv(path)
+        assert err.value.line == 2
+
     def test_interval_header(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("# sample_interval_s=0.001\n0\n1\n0\n")
@@ -192,6 +199,12 @@ class TestDecompositionCsv:
         path = tmp_path / "dec.csv"
         path.write_text("# sample_rate_hz=1000\nfoo,bar\n0,1\n")
         with pytest.raises(SignalFormatError):
+            read_decomposition_csv(path)
+
+    def test_missing_column_row(self, tmp_path):
+        path = tmp_path / "dec.csv"
+        path.write_text("# sample_rate_hz=1000\n# noise_floor=0\n")
+        with pytest.raises(SignalFormatError, match="missing column header row"):
             read_decomposition_csv(path)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,24 @@ def test_huge_level_count_falls_back_to_the_most_supported():
     ]
     assert runs[0].denoised_indices
     assert np.array_equal(runs[0].output.samples, runs[1].output.samples)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 510, 1000])
+def test_benchmark_at_any_power_of_two(k):
+    # every sum of squares is taken at unit scale, so the benchmark scaled
+    # by 2**k gives the same gate and 2**k times every mode and the output
+    noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+    cfg = PipelineConfig(ensemble=EnsembleConfig(ensemble_size=3, seed=2))
+    runs = [iceemd_de(noisy.with_samples(np.ldexp(noisy.samples, j)), cfg) for j in (0, k)]
+    assert runs[1].apen_report.per_imf == runs[0].apen_report.per_imf
+    assert runs[0].denoised_indices
+    raw, scaled = (r.decomposition_raw for r in runs)
+    assert scaled.noise_floor == math.ldexp(raw.noise_floor, k)
+    for part, scaled_part in zip(
+        [*raw.imfs, raw.residue, runs[0].output.samples],
+        [*scaled.imfs, scaled.residue, runs[1].output.samples],
+    ):
+        assert np.ldexp(part, k).tobytes() == scaled_part.tobytes()
 
 
 def test_default_threshold_value():

@@ -19,7 +19,7 @@ from iceemd import (
     synth_echo_signal,
     synth_signal,
 )
-from iceemd.types import binary_exponent
+from iceemd.types import as_float_array, binary_exponent, std
 
 
 class TestSynthSignal:
@@ -117,6 +117,11 @@ class TestMetrics:
         with pytest.raises(InvalidSignalError):
             snr(z, z)
 
+    def test_rmse_beyond_float64_rejected(self):
+        top = float(np.finfo(np.float64).max)
+        with pytest.raises(InvalidSignalError, match="RMSE overflows float64"):
+            rmse(Signal([top, 0.0], 1.0), Signal([-top, 0.0], 1.0))
+
     def test_rmse_of_empty_signals_rejected(self):
         empty = Signal([], 1.0)
         with pytest.raises(InvalidSignalError, match="empty"):
@@ -133,6 +138,23 @@ class TestMetrics:
         assert binary_exponent(x) == expected
         assert binary_exponent(np.zeros(3), x) == expected
         assert binary_exponent(np.zeros(2), np.zeros(0)) == 0
+
+
+    @pytest.mark.parametrize("samples, ndim", [(np.zeros((2, 3)), 1), (np.zeros(3), 2)])
+    def test_as_float_array_refuses_wrong_rank(self, samples, ndim):
+        with pytest.raises(InvalidSignalError, match=f"expected a {ndim}-D sequence"):
+            as_float_array(samples, ndim)
+
+    @pytest.mark.parametrize("k", [-1071, -1000, -501, -500, 0, 501, 502, 1000, 1022])
+    def test_std_is_taken_at_unit_scale(self, k):
+        # samples scaled by 2**k have 2**k times the std, whether their
+        # squares over- or underflow; inside [2**-500, 2**500] the std is
+        # numpy's own
+        unit = np.array([0.5, -0.25, 0.375, 0.0, -0.5])
+        x = np.ldexp(unit, k)
+        assert std(x) == math.ldexp(float(unit.std()), k)
+        if 2.0**-500 <= 2.0 ** (k - 1) <= 2.0**500:
+            assert std(x) == float(x.std())
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -224,6 +246,12 @@ class TestAddNoise:
         sig = Signal(np.full(100, amplitude), 1000.0)
         noisy = add_noise_snr(sig, 5.0, seed=0)
         assert snr(sig, noisy) == pytest.approx(5.0, abs=1e-12)
+
+    def test_signal_too_small_for_its_noise_rejected(self):
+        # 5 dB is a fine target: the signal's peak, 5e-324, is at fault,
+        # since its noise scale underflows to 0
+        with pytest.raises(InvalidSignalError, match=r"snr_db=5.0, a signal of peak 5e-324 .* underflows"):
+            add_noise_snr(Signal([0.0, 5e-324, 0.0, 0.0, 0.0], 1.0), 5.0, seed=1)
 
     def test_overflowing_noisy_signal_rejected(self):
         with pytest.raises(InvalidSignalError, match="overflows float64"):

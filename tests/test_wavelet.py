@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -108,6 +108,12 @@ class TestDwtIdwt:
         with pytest.raises(InvalidConfigError, match="at most 3,"):
             dwt(np.zeros(60), DenoiseConfig(levels=10**6))
 
+    def test_mismatched_band_rejected(self):
+        coeffs = dwt(np.random.default_rng(2).standard_normal(100), DenoiseConfig(levels=3))
+        coeffs.details[1] = coeffs.details[1][:-1]
+        with pytest.raises(InvalidSignalError, match="level 2 bands"):
+            idwt(coeffs)
+
     def test_energy_preserved_periodic(self):
         # orthonormal transform: coefficient energy equals signal energy
         rng = np.random.default_rng(3)
@@ -124,6 +130,11 @@ class TestThresholds:
 
     def test_universal_n_one(self):
         assert universal_threshold(1.0, 1) == 0.0
+
+    @pytest.mark.parametrize("sigma, n, name", [(1.0, 0, "n"), (-0.1, 8, "sigma")])
+    def test_universal_bad_arguments_rejected(self, sigma, n, name):
+        with pytest.raises(InvalidConfigError, match=f"{name} must be >= "):
+            universal_threshold(sigma, n)
 
     def test_universal_frozen_value(self):
         expected = 0.1 * math.sqrt(2.0 * math.log(1024))
@@ -225,3 +236,34 @@ class TestDenoise:
             DenoiseConfig(sigma_estimator="mad")
         with pytest.raises(InvalidConfigError):
             DenoiseConfig(extension_mode="zero")
+
+
+def _stays_normal(a, k):
+    """Every nonzero element of a, scaled by 2**k, is a normal float64."""
+    a = np.asarray(a, dtype=np.float64)
+    return bool(np.all(np.abs(np.ldexp(a[a != 0.0], k)) >= np.finfo(np.float64).tiny))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.integers(8, 200).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(-4.0, 4.0))
+    ),
+    k=st.integers(-1000, 1000),
+    estimator=st.sampled_from(["signal_std", "mad_finest"]),
+)
+def test_denoise_equivariant_under_powers_of_two(x, k, estimator):
+    # the noise scale is taken at unit scale, so wavelet_denoise(2**k x)
+    # is 2**k wavelet_denoise(x) bit for bit, wherever the input, every
+    # band and the output stay normal at both scales
+    # inside [2**-500, 2**500] the std is numpy's own, so the series must
+    # not be constant to rounding: such deviations square to below 2**-1074
+    assume(np.ptp(x) >= 2.0**-20 * np.abs(x).max())
+    cfg = DenoiseConfig(sigma_estimator=estimator)
+    out = wavelet_denoise(x, cfg)
+    levels = min(cfg.levels, (x.size // 8).bit_length())
+    bands = dwt(x, DenoiseConfig(levels=levels))
+    for part in (x, out, bands.approximation, *bands.details):
+        assume(_stays_normal(part, 0) and _stays_normal(part, k))
+    scaled = wavelet_denoise(np.ldexp(x, k), cfg)
+    assert np.ldexp(out, k).view(np.int64).tolist() == scaled.view(np.int64).tolist()
