@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import EnsembleConfig, iceemd
-from .entropy import ApEnConfig, ApEnReport, apen_per_imf
-from .errors import InvalidConfigError
+from .entropy import MIN_SAMPLES, ApEnConfig, ApEnReport, apen_per_imf
+from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, Signal
 from .wavelet import DenoiseConfig, wavelet_denoise
 
@@ -77,8 +77,15 @@ def iceemd_de(signal: Signal, cfg: PipelineConfig = PipelineConfig()) -> Denoise
     Modes too short for the configured level count are denoised with as
     many levels as they support (see wavelet_denoise). Each mode's entropy
     tolerance is floored at the decomposition's noise_floor (see
-    ensemble.iceemd), so a clean signal passes through unchanged.
+    ensemble.iceemd), so a clean signal passes through unchanged. A record
+    shorter than the gate's MIN_SAMPLES raises InvalidSignalError before
+    any work.
     """
+    n = signal.samples.size
+    if n < MIN_SAMPLES:
+        raise InvalidSignalError(
+            f"the record has {n} samples; the entropy gate needs at least {MIN_SAMPLES}"
+        )
     dec = iceemd(signal, cfg.ensemble)
     report = apen_per_imf(dec, cfg.apen, cfg.apen_threshold)
     processed = list(dec.imfs)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import iceemd.entropy as entropy
 from iceemd import (
     ApEnConfig,
     Decomposition,
@@ -119,7 +121,7 @@ def _dense(z, cfg, std_floor=0.0):
 
 
 class TestDenseIdentity:
-    """The sorted-window counts give the full-matrix result bit for bit."""
+    """The bitset counts give the full-matrix result bit for bit."""
 
     @pytest.mark.parametrize("n", [10, 11, 63, 64, 65, 500, 2048])
     def test_white_noise(self, n):
@@ -208,6 +210,36 @@ def test_equals_dense_oracle_bit_for_bit(z, std_floor):
         expected = 0.0 if z.min() == z.max() else apen_dense(
             unit, cfg.tolerance_factor * max(float(unit.std()), unit_floor)
         )
+    assert _bits(value) == _bits(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.integers(10, 150).flatmap(lambda n: st.one_of(
+        arrays(np.float64, n, elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, n, elements=st.integers(-3, 3).map(float)),
+        # ties near 0 a few ulps apart: their differences to the other
+        # levels round, so one row's match interval sheds several runs
+        arrays(np.float64, n, elements=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+            lambda ij: ij[0] + ij[1] * 2.0**-55)),
+    )),
+    factor=st.sampled_from([0.15, 0.125]),
+    std_floor=st.one_of(st.sampled_from([0.0, 8.0, 16.0]), st.floats(0.0, 4.0)),
+    stride=st.sampled_from([1, 7]),
+    rows=st.sampled_from([1, 7]),
+)
+def test_kernel_seams_equal_dense_oracle(z, factor, std_floor, stride, rows):
+    # a prefix stored every 1 or 7 ranks and blocks of 1 or 7 template
+    # starts put prefix boundaries and block seams everywhere; on integer
+    # ties a floor of 8 or 16 at factor 0.125 sets the tolerance to a gap
+    # between levels, which the match intervals must shed
+    # inside [2**-500, 2**500] the tolerance is the dense oracle's own
+    assume(np.abs(z).max() == 0.0 or np.abs(z).max() >= 2.0**-500)
+    cfg = ApEnConfig(tolerance_factor=factor)
+    with mock.patch.object(entropy, "_stride", lambda n: stride), \
+            mock.patch.object(entropy, "_ROWS", rows):
+        value = approximate_entropy(z, cfg, std_floor)
+    expected = 0.0 if z.min() == z.max() else _dense(z, cfg, std_floor)
     assert _bits(value) == _bits(expected)
 
 

@@ -17,7 +17,7 @@ from iceemd import (
     synth_signal,
 )
 from iceemd.cli import run_cli
-from iceemd.io import read_report, write_decomposition_csv
+from iceemd.io import read_report, write_decomposition_csv, write_signal_csv
 
 FS = 1000.0
 
@@ -195,6 +195,27 @@ class TestOutput:
 
 
 class TestShortSignals:
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_record_length_floor(self, tmp_path, capsys, n):
+        # one rule for every length: below the gate's 10 samples the record
+        # is refused up front, naming its length, and the CLI exits 2
+        noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+        short = noisy.with_samples(noisy.samples[:n])
+        cfg = fast_config(seed=2)
+        sig, out = tmp_path / "sig.csv", tmp_path / "out.csv"
+        write_signal_csv(short, sig)
+        code = run_cli(["denoise", str(sig), "--seed", "2", "--ensemble-size", "6", "-o", str(out)])
+        if n < 10:
+            with pytest.raises(InvalidSignalError, match=f"the record has {n} samples"):
+                iceemd_de(short, cfg)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"error: data: the record has {n} samples; the entropy gate needs at least 10\n"
+            assert not out.exists()
+        else:
+            assert iceemd_de(short, cfg).output.samples.size == n
+            assert code == 0
+
     def test_short_imf_level_fallback(self):
         # 48 samples cannot support 4 levels (needs 64); the pipeline must
         # fall back to fewer levels instead of failing
