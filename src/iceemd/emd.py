@@ -13,7 +13,9 @@ module alone splits rows into batches, so a caller hands over all its
 rows in one call. The envelopes of all rows are one piecewise cubic per
 side, a block per row, each block solved by LAPACK's tridiagonal solver
 and bit-identical to scipy's CubicSpline(bc_type="natural") of that
-row's knots.
+row's knots. The pieces are evaluated in numpy in the order of scipy's
+PPoly evaluator, so the values are PPoly's bit for bit without importing
+scipy.interpolate.
 
 Every row is sifted at unit scale (see extract_imf), so a decomposition
 does not depend on the amplitude: a row scaled by a power of two gives
@@ -24,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidConfigError, InvalidSignalError, NotEnoughExtremaError
-from .types import Decomposition, Signal, as_float_array, binary_exponent
+from .types import Decomposition, Signal, as_float_array, peak_exponent
 
 # Mode cap of emd, and of EnsembleConfig.max_modes
 DEFAULT_MAX_MODES = 12
@@ -84,9 +85,10 @@ def _as_rows(samples) -> np.ndarray:
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of x, each scaled by 2**-k with binary_exponent's k for
-    that row, and the k as a column: the scale every row is sifted at."""
-    k = np.array([binary_exponent(row) for row in x])[:, None]
+    """The rows of x, each scaled by 2**-k with peak_exponent's k for
+    that row's peak, and the k as a column: the scale every row is sifted
+    at."""
+    k = peak_exponent(np.abs(x).max(axis=1, initial=0.0))[:, None]
     return np.ldexp(x, -k), k
 
 
@@ -215,25 +217,66 @@ def _block_knots(y: np.ndarray, maxima, minima):
     return tuple(knots)
 
 
-def CubicSpline(x, y, starts=(0,)) -> PPoly:
+@dataclass(frozen=True)
+class PiecewiseCubic:
+    """Cubic pieces as scipy's PPoly holds them: c[:, i] the coefficients
+    of piece i, highest power first, in powers of the offset from its
+    breakpoint x[i]. Evaluated in numpy, bit for bit as PPoly evaluates."""
+
+    c: np.ndarray
+    x: np.ndarray
+
+    def __call__(self, grid) -> np.ndarray:
+        """Values at an ascending grid. A point lies in the last piece
+        whose breakpoint it reaches; points beyond either end fall in the
+        end pieces, so PPoly's extrapolation is kept."""
+        t = np.asarray(grid, dtype=np.float64)
+        before = np.searchsorted(t, self.x[1:-1])
+        return _evaluate(self.c, self.x[:-1], np.diff(before, prepend=0, append=t.size), t)
+
+
+def _evaluate(c, left, counts, t) -> np.ndarray:
+    """The cubic pieces c at the points t, where the first counts[0]
+    points lie in piece 0, the next counts[1] in piece 1, and so on, at
+    offsets t - left[piece].
+
+    Every operation is scipy's PPoly evaluator's, in its order: Horner is
+    not used, and 0.0 is added first, which turns a -0.0 into +0.0 as
+    PPoly does. In the sift, positions and breakpoints are exact integers,
+    so an offset formed from shifted positions (see _on_samples) equals
+    PPoly's xval - x[i] exactly.
+    """
+    piece = np.repeat(np.arange(counts.size), counts)
+    s = t - left.take(piece)
+    res = c[3].take(piece) + 0.0
+    res += c[2].take(piece) * s
+    z = s * s
+    res += c[1].take(piece) * z
+    z *= s
+    res += c[0].take(piece) * z
+    return res
+
+
+def CubicSpline(x, y, starts=(0,)) -> PiecewiseCubic:
     """Natural cubic splines through consecutive blocks of knots (x, y).
 
     Block r holds the knots from starts[r] up to the next start, at least
     3, x strictly increasing over all blocks. One block is
     scipy.interpolate.CubicSpline(x, y, bc_type="natural") without its
     input checks: the same tridiagonal system for the knot slopes, solved
-    by the same LAPACK dgtsv, the same Hermite coefficients and the same
-    PPoly evaluator, every operation in scipy's order, so the envelopes
-    are bit-identical. Each block is solved on its own, as scipy solves
-    it: one shared block-diagonal solve would subtract 0 * (a neighbor's
-    entry) at each join, which turns a -0.0 into +0.0. The PPoly holds
-    each block's pieces, and its last piece reaches on to the next block,
-    so it evaluates as that block's own spline from its first knot to the
-    next block's. The checks are not needed here: every iterate has
-    passed find_extrema's finite check and the knot rule gives at least 3
-    strictly increasing knots per row. The name is scipy's because
-    tracers count and time envelope spline builds by wrapping
-    emd.CubicSpline.
+    by the same LAPACK dgtsv, and the same Hermite coefficients, every
+    operation in scipy's order, so the envelopes are bit-identical. The
+    result reproduces PPoly's evaluation in numpy and no longer uses
+    PPoly (see _evaluate). Each block is solved on its own, as scipy
+    solves it: one shared block-diagonal solve would subtract 0 * (a
+    neighbor's entry) at each join, which turns a -0.0 into +0.0. The
+    result holds each block's pieces, and its last piece reaches on to
+    the next block, so it evaluates as that block's own spline from its
+    first knot to the next block's. The checks are not needed here:
+    every iterate has passed find_extrema's finite check and the knot
+    rule gives at least 3 strictly increasing knots per row. The name is
+    scipy's because tracers count and time envelope spline builds by
+    wrapping emd.CubicSpline.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -263,7 +306,7 @@ def CubicSpline(x, y, starts=(0,)) -> PPoly:
     # piece reaches there and the join's piece is never used
     x = x.copy()
     x[last[:-1]] = x[first[1:]]
-    return PPoly.construct_fast(c, x)
+    return PiecewiseCubic(c, x)
 
 
 def mean_envelope(samples, maxima, minima) -> np.ndarray:
@@ -288,14 +331,30 @@ def mean_envelope(samples, maxima, minima) -> np.ndarray:
     """
     y = np.asarray(samples, dtype=np.float64)
     rows = y.reshape(-1, y.shape[-1])
-    n_rows, n = rows.shape
     ux, uy, us, lx, ly, ls = _block_knots(rows, maxima, minima)
-    # sample positions of all rows in the knots' coordinates
-    grid = (np.arange(n_rows)[:, None] * (4.0 * n) + np.arange(n)).ravel()
-    mean = CubicSpline(ux, uy, us)(grid)
-    mean += CubicSpline(lx, ly, ls)(grid)
+    upper, lower = CubicSpline(ux, uy, us), CubicSpline(lx, ly, ls)
+    mean = _on_samples(upper, *rows.shape)
+    mean += _on_samples(lower, *rows.shape)
     mean /= 2.0
     return mean.reshape(y.shape)
+
+
+def _on_samples(spline: PiecewiseCubic, rows: int, n: int) -> np.ndarray:
+    """The spline at every sample of `rows` rows of n samples, sample j of
+    row r at position r*4n + j as _block_knots places it, with no search.
+
+    A knot p lies in row r = (p + n) // 4n (see _block_knots), so
+    r*n + clip(p - 4n*r, 0, n) samples come before it; the first piece
+    starts at sample 0 and the last takes every sample to the end, as
+    PPoly extrapolates. A sample's piece starts in its own row, so its
+    offset is its flat index minus p - 3n*r.
+    """
+    p = spline.x.astype(np.intp)
+    r = (p + n) // (4 * n)
+    before = r * n + np.clip(p - 4 * n * r, 0, n)
+    before[0], before[-1] = 0, rows * n
+    left = spline.x[:-1] - 3 * n * r[:-1]
+    return _evaluate(spline.c, left, np.diff(before), np.arange(rows * n, dtype=np.float64))
 
 
 def _zero_crossings(y: np.ndarray) -> int:
@@ -324,10 +383,10 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
     proto_residue = samples - imf.
 
     Each row is sifted at unit scale, on a copy scaled by 2**-k with
-    binary_exponent's k, so no square over- or underflows; the IMF is
-    scaled back by 2**k, and the residue is taken at the input's scale.
-    A row inside binary_exponent's band (k = 0) is sifted as it is, so
-    its result does not move. An IMF or residue beyond float64 raises
+    peak_exponent's k of its peak, so no square over- or underflows; the
+    IMF is scaled back by 2**k, and the residue is taken at the input's
+    scale. A row inside peak_exponent's band (k = 0) is sifted as it is,
+    so its result does not move. An IMF or residue beyond float64 raises
     InvalidSignalError.
 
     The rows are sifted in lockstep, one mean_envelope call per pass for
@@ -401,15 +460,15 @@ def _sift(x: np.ndarray, max_modes: int):
         raise InvalidSignalError(f"signal too short to decompose ({x.shape[1]} samples)")
     residue = x.copy()
     imfs = [[] for _ in residue]
-    live = np.flatnonzero(_decomposable(residue))
+    live = np.arange(residue.shape[0])
     for _ in range(max_modes):
+        # tested before each mode only, never after the last one allowed
+        live = live[_decomposable(residue[live])]
         if not live.size:
             break
-        imf, proto_residue = extract_imf(residue[live])
-        residue[live] = proto_residue
+        imf, residue[live] = extract_imf(residue[live])
         for row, mode in zip(live, imf):
             imfs[row].append(mode)
-        live = live[_decomposable(proto_residue)]
     return imfs, residue
 
 

@@ -1,7 +1,8 @@
 """Core data containers: sampled signals and their decompositions.
 
 Also the package's one amplitude rule: a sum of squares is taken at unit
-scale (binary_exponent, std), so no result depends on the float64 range.
+scale (peak_exponent, binary_exponent, std), so no result depends on the
+float64 range.
 """
 from __future__ import annotations
 
@@ -23,20 +24,24 @@ def as_float_array(samples, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def binary_exponent(*arrays) -> int:
-    """The k that brings the arrays' largest magnitude into [0.5, 1) under
-    scaling by 2**-k: the frexp exponent of that magnitude, or 0 where it
-    lies in [2**-500, 2**500].
+def peak_exponent(peak):
+    """The k that brings a largest magnitude `peak` into [0.5, 1) under
+    scaling by 2**-k: its frexp exponent, or 0 where it lies in
+    [2**-500, 2**500]. Elementwise for an array of peaks.
 
-    Scaling by a power of two is exact, so a result computed on arrays
+    Scaling by a power of two is exact, so a result computed on samples
     inside that range does not move. Outside it, the largest scaled
     magnitude is in [0.5, 1), so its square neither overflows nor
     underflows.
     """
+    return np.where((2.0**-500 <= peak) & (peak <= 2.0**500), 0, np.frexp(peak)[1])
+
+
+def binary_exponent(*arrays) -> int:
+    """peak_exponent's k of the arrays' largest magnitude (0 if all are
+    empty)."""
     peak = max((float(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0.0)
-    if 2.0**-500 <= peak <= 2.0**500:
-        return 0
-    return math.frexp(peak)[1]
+    return int(peak_exponent(peak))
 
 
 def std(samples) -> float:

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +29,7 @@ from iceemd.emd import (
 )
 from iceemd.ensemble import _realization, generate_noise_bank
 from iceemd.signals import add_noise_snr, dominant_frequency, synth_echo_signal
+from iceemd.types import binary_exponent
 
 from sift_oracle import emd_reference
 
@@ -429,6 +433,58 @@ class TestEnvelopeKnots:
             assert ly[lower].tobytes() == wly.tobytes()
 
 
+def test_negative_zero_knot_evaluates_as_scipy_does():
+    # the knot at x = 3 holds -0.0 and the other three coefficients of its
+    # piece are negative, so every term there is -0.0: PPoly adds 0.0
+    # first and returns +0.0, and so must the package's evaluation
+    x = np.array([3, 4, 6, 9, 12, 13])
+    y = np.array([-0.0, -2.0, -4.0, 4.0, 1.0, 3.0])
+    grid = np.arange(0, 16)
+    ours = emd_module.CubicSpline(x, y)(grid)
+    assert ours.tobytes() == ScipyCubicSpline(x, y, bc_type="natural")(grid).tobytes()
+    assert not np.signbit(ours[3])
+
+
+@st.composite
+def envelope_batches(draw):
+    """(rows, n) batches of 1-16 rows of n >= 4 samples, each row with an
+    interior maximum and minimum. Values mix floats with both signed
+    zeros and +-1, so rows whose end sample lies beyond the first extrema
+    (and becomes a knot), rows with a single maximum or minimum (the
+    mirror falls back to the end sample), plateaus and signed-zero knots
+    all occur."""
+    n = draw(st.integers(4, 80))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0, -1.0, 1.0]))
+    row = arrays(np.float64, n, elements=value).filter(
+        lambda y: all(e.size for e in find_extrema(y)))
+    return np.array(draw(st.lists(row, min_size=1, max_size=16)))
+
+
+class TestMeanEnvelopeOracle:
+    """mean_envelope of a batch equals, row by row and as bytes, the
+    half-sum of scipy's natural splines through that row's own knots,
+    evaluated on the row's samples."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(envelope_batches())
+    # one maximum (mirror fallback at the left end), a first sample below
+    # the first minimum after a maximum (an end knot), and signed zeros
+    @example(np.array([[0.0, 1.0, -1.0, 0.0]]))
+    @example(np.array([[-5.0, 1.0, -1.0, 1.0, -1.0, 0.5],
+                       [-0.0, 1.0, 0.0, 2.0, -0.0, -1.0],
+                       [0.0, -0.0, 1.0, -0.0, -0.0, 2.0]]))
+    def test_rows_equal_scipy_natural_splines_bit_for_bit(self, rows):
+        got = mean_envelope(rows, *find_extrema(rows))
+        grid = np.arange(rows.shape[1])
+        for row, mean in zip(rows, got):
+            ux, uy, lx, ly = reference_envelope_knots(row, *find_extrema(row))
+            want = ScipyCubicSpline(ux, uy, bc_type="natural")(grid)
+            want += ScipyCubicSpline(lx, ly, bc_type="natural")(grid)
+            want /= 2.0
+            assert mean.tobytes() == want.tobytes()
+
+
 class TestExtractImf:
     def test_pure_sine_is_its_own_imf(self):
         y = sine(20)
@@ -493,6 +549,64 @@ class TestExtractImf:
         maxima, minima = find_extrema(imf)
         assert abs(maxima.size + minima.size - count_zero_crossings(imf)) <= 1
         assert calls["find_extrema"] == iterations + 1
+
+
+def test_unit_rows_take_each_rows_binary_exponent():
+    # zero rows, a subnormal peak, peaks at and just past both band
+    # edges, 1e300 and 2**600
+    edge = 2.0**500
+    rows = np.array([
+        [0.0, 0.0, -0.0, 0.0],
+        [0.0, 5e-324, -1e-320, 0.0],
+        [2.0**-500, -1.0e-151, 0.0, 0.0],
+        [0.0, -np.nextafter(2.0**-500, 0.0), 1e-160, 0.0],
+        [edge, -3.0, 0.0, 1.0],
+        [0.0, -np.nextafter(edge, np.inf), 2.0, 0.0],
+        [1e300, -1.0, 0.0, 2.0],
+        [2.0**600, 0.0, -5e-324, 1.0],
+    ])
+    scaled, k = emd_module._unit_rows(rows)
+    assert k.shape == (rows.shape[0], 1)
+    for row, got, got_k in zip(rows, scaled, k[:, 0]):
+        want_k = binary_exponent(row)
+        assert got_k == want_k
+        assert got.tobytes() == np.ldexp(row, -want_k).tobytes()
+
+
+@pytest.mark.parametrize("max_modes", [1, 2])
+def test_decomposability_is_tested_once_per_mode(monkeypatch, max_modes):
+    # the residue after the last mode allowed is not tested: its answer
+    # would be thrown away
+    calls = []
+    real = emd_module._decomposable
+
+    def counted(y):
+        calls.append(len(y))
+        return real(y)
+
+    monkeypatch.setattr(emd_module, "_decomposable", counted)
+    rows = np.stack([sine(20) + 0.3 * sine(100), sine(35)])
+    decs = emd(rows, max_modes=max_modes)
+    assert [d.n_imfs for d in decs] == [max_modes, max_modes]
+    assert calls == [2] * max_modes
+
+
+def test_import_and_emd_leave_scipy_interpolate_unloaded():
+    # the envelopes are evaluated in numpy; only scipy.linalg's LAPACK
+    # is loaded, which keeps every process start lighter
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import iceemd\n"
+        "iceemd.emd(iceemd.Signal(np.sin(np.arange(500) / 3.0) + np.arange(500) / 100.0, 1.0))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestEmd:
