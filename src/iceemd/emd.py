@@ -13,9 +13,9 @@ module alone splits rows into batches, so a caller hands over all its
 rows in one call. The envelopes of all rows are one piecewise cubic per
 side, a block per row, each block solved by LAPACK's tridiagonal solver
 and bit-identical to scipy's CubicSpline(bc_type="natural") of that
-row's knots. The pieces are evaluated in numpy in the order of scipy's
-PPoly evaluator, so the values are PPoly's bit for bit without importing
-scipy.interpolate.
+row's knots. One evaluator, _on_samples, takes the pieces at every
+sample in numpy, in the order of scipy's PPoly evaluator, so the values
+are PPoly's bit for bit without importing scipy.interpolate.
 
 Every row is sifted at unit scale (see extract_imf), so a decomposition
 does not depend on the amplitude: a row scaled by a power of two gives
@@ -72,8 +72,7 @@ def _batches(rows: int, n: int) -> list[slice]:
     most _BATCH_SAMPLES samples or one row."""
     per = max(1, _BATCH_SAMPLES // max(n, 1))
     count = -(-rows // per)
-    bounds = [rows * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
 def _as_rows(samples) -> np.ndarray:
@@ -117,10 +116,9 @@ def find_extrema(samples) -> tuple[np.ndarray, np.ndarray]:
     idx = np.flatnonzero(slope != 0.0)
     rising = (slope > 0.0)[idx]
     turn = rising[:-1] != rising[1:]
-    if rows > 1:
-        # no turn from one row's last run to a later row's first
-        first = np.searchsorted(idx, np.arange(1, rows) * n)
-        turn[first[(first > 0) & (first < idx.size)] - 1] = False
+    # no turn from one row's last run to a later row's first
+    first = np.searchsorted(idx, np.arange(1, rows) * n)
+    turn[first[(first > 0) & (first < idx.size)] - 1] = False
     where = np.flatnonzero(turn)
     # extremum spans from the end of the rising run to the start of the
     # falling run (indices around a possible plateau); report its middle
@@ -217,47 +215,7 @@ def _block_knots(y: np.ndarray, maxima, minima):
     return tuple(knots)
 
 
-@dataclass(frozen=True)
-class PiecewiseCubic:
-    """Cubic pieces as scipy's PPoly holds them: c[:, i] the coefficients
-    of piece i, highest power first, in powers of the offset from its
-    breakpoint x[i]. Evaluated in numpy, bit for bit as PPoly evaluates."""
-
-    c: np.ndarray
-    x: np.ndarray
-
-    def __call__(self, grid) -> np.ndarray:
-        """Values at an ascending grid. A point lies in the last piece
-        whose breakpoint it reaches; points beyond either end fall in the
-        end pieces, so PPoly's extrapolation is kept."""
-        t = np.asarray(grid, dtype=np.float64)
-        before = np.searchsorted(t, self.x[1:-1])
-        return _evaluate(self.c, self.x[:-1], np.diff(before, prepend=0, append=t.size), t)
-
-
-def _evaluate(c, left, counts, t) -> np.ndarray:
-    """The cubic pieces c at the points t, where the first counts[0]
-    points lie in piece 0, the next counts[1] in piece 1, and so on, at
-    offsets t - left[piece].
-
-    Every operation is scipy's PPoly evaluator's, in its order: Horner is
-    not used, and 0.0 is added first, which turns a -0.0 into +0.0 as
-    PPoly does. In the sift, positions and breakpoints are exact integers,
-    so an offset formed from shifted positions (see _on_samples) equals
-    PPoly's xval - x[i] exactly.
-    """
-    piece = np.repeat(np.arange(counts.size), counts)
-    s = t - left.take(piece)
-    res = c[3].take(piece) + 0.0
-    res += c[2].take(piece) * s
-    z = s * s
-    res += c[1].take(piece) * z
-    z *= s
-    res += c[0].take(piece) * z
-    return res
-
-
-def CubicSpline(x, y, starts=(0,)) -> PiecewiseCubic:
+def CubicSpline(x, y, starts) -> tuple[np.ndarray, np.ndarray]:
     """Natural cubic splines through consecutive blocks of knots (x, y).
 
     Block r holds the knots from starts[r] up to the next start, at least
@@ -265,18 +223,20 @@ def CubicSpline(x, y, starts=(0,)) -> PiecewiseCubic:
     scipy.interpolate.CubicSpline(x, y, bc_type="natural") without its
     input checks: the same tridiagonal system for the knot slopes, solved
     by the same LAPACK dgtsv, and the same Hermite coefficients, every
-    operation in scipy's order, so the envelopes are bit-identical. The
-    result reproduces PPoly's evaluation in numpy and no longer uses
-    PPoly (see _evaluate). Each block is solved on its own, as scipy
-    solves it: one shared block-diagonal solve would subtract 0 * (a
-    neighbor's entry) at each join, which turns a -0.0 into +0.0. The
-    result holds each block's pieces, and its last piece reaches on to
-    the next block, so it evaluates as that block's own spline from its
-    first knot to the next block's. The checks are not needed here:
+    operation in scipy's order, so the envelopes are bit-identical. Each
+    block is solved on its own, as scipy solves it: one shared
+    block-diagonal solve would subtract 0 * (a neighbor's entry) at each
+    join, which turns a -0.0 into +0.0. The checks are not needed here:
     every iterate has passed find_extrema's finite check and the knot
-    rule gives at least 3 strictly increasing knots per row. The name is
-    scipy's because tracers count and time envelope spline builds by
-    wrapping emd.CubicSpline.
+    rule gives at least 3 strictly increasing knots per row.
+
+    Returns (c, x) as scipy's PPoly holds them: c[:, i] the coefficients
+    of piece i, highest power first, in powers of the offset from its
+    breakpoint x[i]. A block's last piece reaches on to the next block,
+    so it evaluates as that block's own spline from its first knot to the
+    next block's; _on_samples evaluates it, bit for bit as PPoly does.
+    The name is scipy's because tracers count and time envelope spline
+    builds by wrapping emd.CubicSpline.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -306,7 +266,7 @@ def CubicSpline(x, y, starts=(0,)) -> PiecewiseCubic:
     # piece reaches there and the join's piece is never used
     x = x.copy()
     x[last[:-1]] = x[first[1:]]
-    return PiecewiseCubic(c, x)
+    return c, x
 
 
 def mean_envelope(samples, maxima, minima) -> np.ndarray:
@@ -339,22 +299,35 @@ def mean_envelope(samples, maxima, minima) -> np.ndarray:
     return mean.reshape(y.shape)
 
 
-def _on_samples(spline: PiecewiseCubic, rows: int, n: int) -> np.ndarray:
-    """The spline at every sample of `rows` rows of n samples, sample j of
-    row r at position r*4n + j as _block_knots places it, with no search.
+def _on_samples(spline: tuple[np.ndarray, np.ndarray], rows: int, n: int) -> np.ndarray:
+    """CubicSpline's (c, x) at every sample of `rows` rows of n samples,
+    sample j of row r at position r*4n + j as _block_knots places it,
+    with no search.
 
     A knot p lies in row r = (p + n) // 4n (see _block_knots), so
     r*n + clip(p - 4n*r, 0, n) samples come before it; the first piece
     starts at sample 0 and the last takes every sample to the end, as
     PPoly extrapolates. A sample's piece starts in its own row, so its
-    offset is its flat index minus p - 3n*r.
+    offset is its flat index minus p - 3n*r. Positions and breakpoints
+    are exact integers, so that offset equals PPoly's xval - x[i] exactly.
     """
-    p = spline.x.astype(np.intp)
+    c, x = spline
+    p = x.astype(np.intp)
     r = (p + n) // (4 * n)
     before = r * n + np.clip(p - 4 * n * r, 0, n)
     before[0], before[-1] = 0, rows * n
-    left = spline.x[:-1] - 3 * n * r[:-1]
-    return _evaluate(spline.c, left, np.diff(before), np.arange(rows * n, dtype=np.float64))
+    piece = np.repeat(np.arange(x.size - 1), np.diff(before))
+    s = np.arange(rows * n, dtype=np.float64) - (x[:-1] - 3 * n * r[:-1]).take(piece)
+    # every operation is scipy's PPoly evaluator's, in its order: Horner is
+    # not used, and 0.0 is added first, which turns a -0.0 into +0.0 as
+    # PPoly does
+    res = c[3].take(piece) + 0.0
+    res += c[2].take(piece) * s
+    z = s * s
+    res += c[1].take(piece) * z
+    z *= s
+    res += c[0].take(piece) * z
+    return res
 
 
 def _zero_crossings(y: np.ndarray) -> int:

@@ -72,10 +72,11 @@ def _read_file(path: str) -> tuple[dict[str, tuple[int, str]], float, list[tuple
     states and the nonblank body lines as (line number, line). The rate
     comes from sample_rate_hz or sample_interval_s; each must be finite and
     positive with a finite reciprocal, and the two must agree when both
-    are given. A file that is not UTF-8 text is a SignalFormatError.
+    are given. A file that is not UTF-8 text is a SignalFormatError; a
+    leading byte-order mark, as spreadsheet programs write, is skipped.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [(i + 1, ln) for i, ln in enumerate(fh) if ln.strip() != ""]
     except UnicodeDecodeError as exc:
         raise SignalFormatError(

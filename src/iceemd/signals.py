@@ -186,6 +186,8 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
 
 def spectrum(samples, fs: float) -> Spectrum:
     """One-sided magnitude spectrum with bin spacing fs / n."""
+    if not (math.isfinite(fs) and fs > 0):
+        raise InvalidConfigError(f"fs must be finite and > 0, got {fs}")
     x = as_float_array(samples)
     if x.size < 8:
         raise InvalidSignalError(f"spectrum needs at least 8 samples, got {x.size}")

@@ -364,14 +364,14 @@ def universal_threshold(sigma: float, n: int) -> float:
     """lambda = sigma * sqrt(2 ln n)."""
     if n < 1:
         raise InvalidConfigError(f"n must be >= 1, got {n}")
-    if sigma < 0:
+    if not sigma >= 0:
         raise InvalidConfigError(f"sigma must be >= 0, got {sigma}")
     return sigma * math.sqrt(2.0 * math.log(n))
 
 
 def soft_threshold(coefficients, lam: float) -> np.ndarray:
     """Shrink toward zero by lam; magnitudes at or below lam map to 0."""
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidConfigError(f"threshold must be >= 0, got {lam}")
     w = as_float_array(coefficients)
     return np.sign(w) * np.maximum(np.abs(w) - lam, 0.0)

@@ -159,7 +159,19 @@ spline_knots = st.integers(3, 400).flatmap(
 )
 
 
+def sift_evaluation(x, y, starts, grid):
+    """CubicSpline(x, y, starts) and its values as the sift evaluates
+    them: by _on_samples, on one row whose samples are the integer grid
+    shifted to start at 0."""
+    spline = emd_module.CubicSpline(x - grid[0], y, starts)
+    return spline[0], emd_module._on_samples(spline, 1, grid.size)
+
+
 class TestNaturalSpline:
+    """The package's splines, built and evaluated as the sift does it,
+    equal scipy's natural splines as bytes, past both end knots and at
+    block joins."""
+
     @settings(max_examples=300, deadline=None)
     @given(spline_knots)
     @example((0, np.array([1, 3, 1]), np.array([0.0, -0.0, 1.0, -1.0]), 2))
@@ -167,10 +179,10 @@ class TestNaturalSpline:
         start, gaps, y, beyond = knots
         x = start + np.concatenate(([0], np.cumsum(gaps)))
         grid = np.arange(x[0] - beyond, x[-1] + beyond + 1)
-        ours = emd_module.CubicSpline(x, y)
+        c, values = sift_evaluation(x, y, [0], grid)
         ref = ScipyCubicSpline(x, y, bc_type="natural")
-        assert ours.c.tobytes() == ref.c.tobytes()
-        assert ours(grid).tobytes() == ref(grid).tobytes()
+        assert c.tobytes() == ref.c.tobytes()
+        assert values.tobytes() == ref(grid).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(spline_knots, min_size=1, max_size=6))
@@ -180,26 +192,28 @@ class TestNaturalSpline:
               (0, np.array([60, 1, 1]), np.array([5e-324, 1e300, -0.0, 2.0]), 0),
               (0, np.array([2, 40, 3, 1]), np.array([0.0, -1e-310, 7.0, -3.0, 1.0]), 4)])
     def test_blocks_equal_scipy_natural_splines_bit_for_bit(self, blocks):
-        # consecutive blocks of very different sizes in one call; each must
-        # be scipy's natural spline of its own knots, from its first knot to
-        # `beyond` samples past its last. The first example is a -0.0 in a
-        # block's first right-hand side after a block whose eliminated last
-        # entry is negative: one dgtsv solve shared by both blocks would
-        # turn it into +0.0 and change that block's slopes
-        xs, ys, grids, starts = [], [], [], []
+        # consecutive blocks of very different sizes in one call, each
+        # starting where the last one's grid ends; each must be scipy's
+        # natural spline of its own knots, from its first knot to `beyond`
+        # samples past its last. The first example is a -0.0 in a block's
+        # first right-hand side after a block whose eliminated last entry
+        # is negative: one dgtsv solve shared by both blocks would turn it
+        # into +0.0 and change that block's slopes
+        xs, ys, starts = [], [], []
         at = 0
-        for start, gaps, y, beyond in blocks:
-            x = at + start + 200 + np.concatenate(([0], np.cumsum(gaps)))
+        for _, gaps, y, beyond in blocks:
+            x = at + np.concatenate(([0], np.cumsum(gaps)))
             starts.append(sum(k.size for k in xs))
             xs.append(x)
             ys.append(y)
-            grids.append(np.arange(x[0], x[-1] + beyond + 1))
             at = x[-1] + beyond + 1
-        ours = emd_module.CubicSpline(np.concatenate(xs), np.concatenate(ys), starts)
-        for x, y, grid, first in zip(xs, ys, grids, starts):
+        grid = np.arange(at)
+        c, values = sift_evaluation(np.concatenate(xs), np.concatenate(ys), starts, grid)
+        ends = [x[0] for x in xs[1:]] + [at]
+        for x, y, first, end in zip(xs, ys, starts, ends):
             ref = ScipyCubicSpline(x, y, bc_type="natural")
-            assert ours.c[:, first:first + x.size - 1].tobytes() == ref.c.tobytes()
-            assert ours(grid).tobytes() == ref(grid).tobytes()
+            assert c[:, first:first + x.size - 1].tobytes() == ref.c.tobytes()
+            assert values[x[0]:end].tobytes() == ref(grid[x[0]:end]).tobytes()
 
 
 @st.composite
@@ -344,6 +358,13 @@ class TestBatches:
             want = emd(Signal(_realization(n, seed, i), 1.0), max_modes=max_modes).imfs
             assert [m.tobytes() for m in modes] == [m.tobytes() for m in want]
 
+    def test_emd_of_no_rows_is_empty(self):
+        assert emd(np.zeros((0, 100))) == []
+
+    def test_local_mean_of_no_rows_is_empty(self):
+        means = local_mean_operator(np.zeros((0, 100)))
+        assert means.shape == (0, 100) and means.dtype == np.float64
+
     def test_local_mean_memory_does_not_grow_with_rows(self):
         # working memory is one batch's, however many rows come in
         def peak(rows):
@@ -436,13 +457,13 @@ class TestEnvelopeKnots:
 def test_negative_zero_knot_evaluates_as_scipy_does():
     # the knot at x = 3 holds -0.0 and the other three coefficients of its
     # piece are negative, so every term there is -0.0: PPoly adds 0.0
-    # first and returns +0.0, and so must the package's evaluation
+    # first and returns +0.0, and so must the sift's evaluation
     x = np.array([3, 4, 6, 9, 12, 13])
     y = np.array([-0.0, -2.0, -4.0, 4.0, 1.0, 3.0])
-    grid = np.arange(0, 16)
-    ours = emd_module.CubicSpline(x, y)(grid)
+    grid = np.arange(-2, 16)
+    _, ours = sift_evaluation(x, y, [0], grid)
     assert ours.tobytes() == ScipyCubicSpline(x, y, bc_type="natural")(grid).tobytes()
-    assert not np.signbit(ours[3])
+    assert not np.signbit(ours[3 - grid[0]])
 
 
 @st.composite

@@ -247,6 +247,25 @@ class TestHeaderAndRows:
             reader(path)
         assert err.value.line == 4
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading BOM; the
+        # file reads as it would without one, and decompose runs on it
+        sig = random_signal(n=200, seed=4, fs=1000.0)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_signal_csv(sig, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back = read_signal_csv(marked)
+        assert back.sample_rate_hz == sig.sample_rate_hz
+        assert back.samples.tobytes() == sig.samples.tobytes()
+        dec_path = tmp_path / "dec.csv"
+        assert run_cli(["decompose", str(marked), "--method", "emd", "-o", str(dec_path)]) == 0
+        dec_marked = tmp_path / "dec_bom.csv"
+        dec_marked.write_bytes(b"\xef\xbb\xbf" + dec_path.read_bytes())
+        dec, rate = read_decomposition_csv(dec_path)
+        dec_back, rate_back = read_decomposition_csv(dec_marked)
+        assert rate_back == rate and dec_back.n_imfs == dec.n_imfs
+        assert dec_back.reconstruct().tobytes() == dec.reconstruct().tobytes()
+
     @pytest.mark.parametrize("floor", ["-1", "nan", "inf", "abc"])
     def test_bad_noise_floor_rejected_with_line(self, tmp_path, floor):
         path = tmp_path / "dec.csv"

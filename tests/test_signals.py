@@ -307,3 +307,10 @@ class TestSpectrum:
     def test_too_short(self):
         with pytest.raises(InvalidSignalError):
             spectrum(np.zeros(7), 1000.0)
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_rate_rejected(self, fs):
+        x = np.sin(np.arange(64) / 3.0)
+        for fn in (spectrum, dominant_frequency):
+            with pytest.raises(InvalidConfigError, match="fs must be finite and > 0"):
+                fn(x, fs)

@@ -131,7 +131,8 @@ class TestThresholds:
     def test_universal_n_one(self):
         assert universal_threshold(1.0, 1) == 0.0
 
-    @pytest.mark.parametrize("sigma, n, name", [(1.0, 0, "n"), (-0.1, 8, "sigma")])
+    @pytest.mark.parametrize("sigma, n, name",
+                             [(1.0, 0, "n"), (-0.1, 8, "sigma"), (math.nan, 8, "sigma")])
     def test_universal_bad_arguments_rejected(self, sigma, n, name):
         with pytest.raises(InvalidConfigError, match=f"{name} must be >= "):
             universal_threshold(sigma, n)
@@ -173,8 +174,10 @@ class TestThresholds:
         assert np.all(np.sign(out[out != 0]) == np.sign(w[out != 0]))
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            soft_threshold([1.0], -0.1)
+        # a NaN threshold is refused too, not passed on as NaN output
+        for lam in (-0.1, math.nan):
+            with pytest.raises(InvalidConfigError, match="threshold must be >= 0"):
+                soft_threshold([1.0], lam)
 
 
 class TestDenoise:
