@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidConfigError, InvalidSignalError, NotEnoughExtremaError
-from .types import Decomposition, Signal, as_float_array, peak_exponent
+from .types import Decomposition, Signal, as_float_array
 
 # Mode cap of emd, and of EnsembleConfig.max_modes
 DEFAULT_MAX_MODES = 12
@@ -84,10 +84,10 @@ def _as_rows(samples) -> np.ndarray:
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of x, each scaled by 2**-k with peak_exponent's k for
-    that row's peak, and the k as a column: the scale every row is sifted
-    at."""
-    k = peak_exponent(np.abs(x).max(axis=1, initial=0.0))[:, None]
+    """The rows of x, each scaled by 2**-k with k the frexp exponent of
+    that row's peak, so the peak lies in [0.5, 1), and the k as a column:
+    the unit scale every row is sifted at (types.unit_scaled, per row)."""
+    k = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None]
     return np.ldexp(x, -k), k
 
 
@@ -252,10 +252,12 @@ def CubicSpline(x, y, starts) -> tuple[np.ndarray, np.ndarray]:
     du[1:] = dx[:-1]
     dl[:-1] = dx[1:]
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # natural ends: scipy's rows for a zero second derivative, its 0.0
-    # terms kept because they can change the sign of a zero
+    # natural ends: scipy's rows for a zero second derivative. Its +0.0
+    # term at the last knot is kept, because adding +0.0 turns a -0.0
+    # into +0.0; its -0.0 term at the first knot is left out, because
+    # adding -0.0 never changes a bit
     d[first], du[first] = 2 * dx[first], dx[first]
-    b[first] = -0.5 * 0.0 * dx[first] ** 2 + 3 * (y[first + 1] - y[first])
+    b[first] = 3 * (y[first + 1] - y[first])
     d[last], dl[last - 1] = 2 * dx[last - 1], dx[last - 1]
     b[last] = 0.5 * 0.0 * dx[last - 1] ** 2 + 3 * (y[last] - y[last - 1])
     s = np.concatenate([dgtsv(dl[i:j], d[i:j + 1], du[i:j], b[i:j + 1], 1, 1, 1, 1)[3]
@@ -355,12 +357,12 @@ def extract_imf(samples, cfg: SiftConfig = SiftConfig()) -> tuple[np.ndarray, np
     the iteration cap is hit. Returns (imf, proto_residue) with
     proto_residue = samples - imf.
 
-    Each row is sifted at unit scale, on a copy scaled by 2**-k with
-    peak_exponent's k of its peak, so no square over- or underflows; the
-    IMF is scaled back by 2**k, and the residue is taken at the input's
-    scale. A row inside peak_exponent's band (k = 0) is sifted as it is,
-    so its result does not move. An IMF or residue beyond float64 raises
-    InvalidSignalError.
+    Each row is sifted at unit scale, on a copy scaled by 2**-k that
+    brings its peak into [0.5, 1) (_unit_rows), where no square over- or
+    underflows; the IMF is scaled back by 2**k, and the residue is taken
+    at the input's scale. Scaling by a power of two is exact, so the
+    result moves only where a sample is subnormal at one of the two
+    scales. An IMF or residue beyond float64 raises InvalidSignalError.
 
     The rows are sifted in lockstep, one mean_envelope call per pass for
     all of them. A row stops on its own test, or once its iterate has

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import Decomposition, as_float_array, std
+from .types import Decomposition, as_float_array, unit_scaled
 
 # Shortest series the statistic is defined for; pipeline.iceemd_de
 # refuses shorter records up front.
@@ -84,11 +84,18 @@ def approximate_entropy(
     C_i^3 those z[j:j+3] (j <= n-3) that match z[i:i+3]; the entropy is
     the mean log of C^2 / (n-1) over i <= n-2 minus the mean log of
     C^3 / (n-2) over i <= n-3. The tolerance is
-    a = cfg.tolerance_factor * max(std(series), std_floor), the std taken
-    at unit scale (types.std), so the statistic does not depend on the
-    series' amplitude. Constant input returns 0 at any floor; a tolerance
-    that underflows to 0 and so matches nothing (a series whose std is
-    subnormal) raises InvalidSignalError, as does n < MIN_SAMPLES.
+    a = cfg.tolerance_factor * max(std(series), std_floor).
+
+    The matches are counted on the series' copy at unit scale
+    (types.unit_scaled), with std_floor scaled alike, so the statistic
+    does not depend on the series' amplitude. The scaled floor may
+    overflow to inf, and an infinite tolerance matches every pair. At
+    unit scale a non-constant series has a std far above the smallest
+    float64, so only a tolerance_factor below about 1e-300 can make the
+    tolerance underflow to 0 and match nothing: that is an
+    InvalidConfigError, as is a std_floor that is not finite and >= 0.
+    Constant input returns 0 at any floor; n < MIN_SAMPLES raises
+    InvalidSignalError.
 
     The counts are exact. Sort the samples; for the sample of rank q, the
     ranks r with |fl(zs[q] - zs[r])| < a form one interval [L, H): a is
@@ -114,16 +121,21 @@ def approximate_entropy(
     (n / 128 B per sample below 32,768 samples) and about 4 * _ROWS / 8 B
     per sample for one block of sets.
     """
+    if not (math.isfinite(std_floor) and std_floor >= 0):
+        raise InvalidConfigError(f"std_floor must be finite and >= 0, got {std_floor}")
     z = as_float_array(series)
     n = z.size
     if n < MIN_SAMPLES:
         raise InvalidSignalError(f"approximate entropy needs n >= {MIN_SAMPLES}, got {n}")
     if z.min() == z.max():
         return 0.0
-    a = cfg.tolerance_factor * max(std(z), std_floor)
+    z, k = unit_scaled(z)
+    with np.errstate(over="ignore"):
+        a = cfg.tolerance_factor * max(float(z.std()), float(np.ldexp(std_floor, -k)))
     if a == 0.0:
-        raise InvalidSignalError(
-            "approximate entropy: the tolerance underflows to 0; rescale the input"
+        raise InvalidConfigError(
+            f"tolerance_factor={cfg.tolerance_factor} is so small that the tolerance "
+            "underflows to 0"
         )
 
     order = np.argsort(z, kind="stable")
@@ -164,19 +176,16 @@ def approximate_entropy(
 
 def _match_ranks(zs: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     """For each rank q of the sorted zs, the interval [lo, hi) of ranks r
-    with |zs[q] - zs[r]| < a."""
-    # a bound or a difference beyond float64 overflows to an infinity of
-    # its sign: a bound then reaches past every sample, and a difference
-    # matches nothing
-    with np.errstate(over="ignore"):
-        lo = np.searchsorted(zs, zs - a, side="left")
-        hi = np.searchsorted(zs, zs + a, side="right")
-        # where an end fails the predicate, bisect for the first rank that
-        # passes (a sample matches itself) or the first past that fails
-        out = np.flatnonzero(~(np.abs(zs - zs[lo]) < a))
-        lo[out] = _first(lambda r: np.abs(zs[out] - zs[r]) < a, lo[out], out)
-        out = np.flatnonzero(~(np.abs(zs - zs[hi - 1]) < a))
-        hi[out] = _first(lambda r: ~(np.abs(zs[out] - zs[r]) < a), out + 1, hi[out] - 1)
+    with |zs[q] - zs[r]| < a. The samples are at unit scale, so no bound
+    or difference overflows; an infinite a reaches past every sample."""
+    lo = np.searchsorted(zs, zs - a, side="left")
+    hi = np.searchsorted(zs, zs + a, side="right")
+    # where an end fails the predicate, bisect for the first rank that
+    # passes (a sample matches itself) or the first past that fails
+    out = np.flatnonzero(~(np.abs(zs - zs[lo]) < a))
+    lo[out] = _first(lambda r: np.abs(zs[out] - zs[r]) < a, lo[out], out)
+    out = np.flatnonzero(~(np.abs(zs - zs[hi - 1]) < a))
+    hi[out] = _first(lambda r: ~(np.abs(zs[out] - zs[r]) < a), out + 1, hi[out] - 1)
     return lo, hi
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import Signal, as_float_array, binary_exponent
+from .types import Signal, as_float_array, binary_exponent, unit_scaled
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,16 @@ def synth_echo_signal(n: int = 980) -> Signal:
     return Signal(excitation + echo, ECHO_SAMPLE_RATE_HZ)
 
 
-def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """a scaled by 2**-k, so that its largest square neither overflows nor
-    underflows, and k (see binary_exponent)."""
-    k = binary_exponent(a)
-    return np.ldexp(a, -k), k
-
-
 def _scaled_error(reference: Signal, estimate: Signal) -> tuple[np.ndarray, int]:
-    """The difference of an equal-length pair, scaled as _scaled scales it;
-    the pair is scaled first, so that the difference cannot overflow."""
+    """The difference of an equal-length pair at unit scale, and its k (see
+    unit_scaled); the pair is scaled first, so that the difference cannot
+    overflow."""
     x = as_float_array(reference.samples)
     xhat = as_float_array(estimate.samples)
     if x.size != xhat.size:
         raise InvalidSignalError(f"length mismatch: {x.size} vs {xhat.size}")
     k = binary_exponent(x, xhat)
-    err, j = _scaled(np.ldexp(x, -k) - np.ldexp(xhat, -k))
+    err, j = unit_scaled(np.ldexp(x, -k) - np.ldexp(xhat, -k))
     return err, k + j
 
 
@@ -113,7 +107,7 @@ def snr(reference: Signal, estimate: Signal) -> float:
         raise InvalidSignalError("reference signal has zero energy")
     if np.array_equal(reference.samples, estimate.samples):
         return math.inf
-    x, k = _scaled(reference.samples)
+    x, k = unit_scaled(reference.samples)
     try:
         ratio = math.ldexp(float(np.dot(x, x)) / float(np.dot(err, err)), 2 * (k - j))
     except (OverflowError, ZeroDivisionError):
@@ -155,7 +149,7 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     InvalidSignalError.
     """
     x = as_float_array(signal.samples)
-    scaled, k = _scaled(x)
+    scaled, k = unit_scaled(x)
     signal_energy = float(np.dot(scaled, scaled))
     if not signal_energy > 0.0:
         raise InvalidSignalError(f"cannot set an SNR against a signal of energy {signal_energy}")
@@ -185,9 +179,10 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
 
 
 def spectrum(samples, fs: float) -> Spectrum:
-    """One-sided magnitude spectrum with bin spacing fs / n."""
-    if not (math.isfinite(fs) and fs > 0):
-        raise InvalidConfigError(f"fs must be finite and > 0, got {fs}")
+    """One-sided magnitude spectrum with bin spacing fs / n. fs must be
+    finite and positive, with a finite sample interval 1 / fs."""
+    if not (math.isfinite(fs) and fs > 0 and math.isfinite(1.0 / fs)):
+        raise InvalidConfigError(f"fs must be finite and > 0 with a finite 1 / fs, got {fs}")
     x = as_float_array(samples)
     if x.size < 8:
         raise InvalidSignalError(f"spectrum needs at least 8 samples, got {x.size}")

@@ -1,8 +1,9 @@
 """Core data containers: sampled signals and their decompositions.
 
 Also the package's one amplitude rule: a sum of squares is taken at unit
-scale (peak_exponent, binary_exponent, std), so no result depends on the
-float64 range.
+scale, on a copy whose largest magnitude is in [0.5, 1) (binary_exponent,
+unit_scaled, std), so no result depends on the float64 range or on the
+record's amplitude.
 """
 from __future__ import annotations
 
@@ -24,36 +25,32 @@ def as_float_array(samples, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def peak_exponent(peak):
-    """The k that brings a largest magnitude `peak` into [0.5, 1) under
-    scaling by 2**-k: its frexp exponent, or 0 where it lies in
-    [2**-500, 2**500]. Elementwise for an array of peaks.
-
-    Scaling by a power of two is exact, so a result computed on samples
-    inside that range does not move. Outside it, the largest scaled
-    magnitude is in [0.5, 1), so its square neither overflows nor
-    underflows.
-    """
-    return np.where((2.0**-500 <= peak) & (peak <= 2.0**500), 0, np.frexp(peak)[1])
-
-
 def binary_exponent(*arrays) -> int:
-    """peak_exponent's k of the arrays' largest magnitude (0 if all are
-    empty)."""
+    """The frexp exponent k of the arrays' largest magnitude, which
+    scaling by 2**-k brings into [0.5, 1) (0 if all are empty or zero)."""
     peak = max((float(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0.0)
-    return int(peak_exponent(peak))
+    return math.frexp(peak)[1]
+
+
+def unit_scaled(samples) -> tuple[np.ndarray, int]:
+    """samples scaled by 2**-k, k = binary_exponent(samples), and k: the
+    copy at unit scale, whose largest square neither overflows nor
+    underflows. Scaling by a power of two is exact, so a result taken on
+    the copy and scaled back moves only where a sample is subnormal at
+    one of the two scales."""
+    k = binary_exponent(samples)
+    return np.ldexp(samples, -k), k
 
 
 def std(samples) -> float:
-    """Population standard deviation, its squares summed at unit scale:
-    on a copy scaled by 2**-k (k from binary_exponent), scaled back by 2**k.
-
-    Inside [2**-500, 2**500] this is float(samples.std()) bit for bit;
-    outside, no square over- or underflows. The result is at most half
-    the samples' range, so it is finite.
+    """Population standard deviation, taken on the copy at unit scale and
+    scaled back by 2**k, so no square over- or underflows and
+    std(samples * 2**j) is std(samples) * 2**j wherever the samples and
+    their std stay normal. The result is at most half the samples'
+    range, so it is finite.
     """
-    k = binary_exponent(samples)
-    return math.ldexp(float(np.ldexp(samples, -k).std()), k)
+    unit, k = unit_scaled(samples)
+    return math.ldexp(float(unit.std()), k)
 
 
 def check_sample_rate(sample_rate_hz, n_samples: int) -> None:

@@ -342,10 +342,14 @@ def dwt(signal, cfg: DenoiseConfig = DenoiseConfig()) -> WaveletCoefficients:
 
 
 def idwt(coeffs: WaveletCoefficients, cfg: DenoiseConfig | None = None) -> np.ndarray:
-    """Inverse transform, trimmed to coeffs.original_length samples."""
-    wavelet = cfg.wavelet if cfg is not None else coeffs.wavelet
-    mode = cfg.extension_mode if cfg is not None else coeffs.extension_mode
-    spec = wavelet_spec(wavelet)
+    """Inverse transform, trimmed to coeffs.original_length samples.
+
+    Without a cfg, the wavelet and extension mode are the coefficients'
+    own, checked as DenoiseConfig checks them.
+    """
+    if cfg is None:
+        cfg = DenoiseConfig(wavelet=coeffs.wavelet, extension_mode=coeffs.extension_mode)
+    spec, mode = wavelet_spec(cfg.wavelet), cfg.extension_mode
     levels = len(coeffs.details)
     lengths = _level_lengths(coeffs.original_length, levels, spec.length, mode)
     approx = coeffs.approximation

@@ -573,8 +573,8 @@ class TestExtractImf:
 
 
 def test_unit_rows_take_each_rows_binary_exponent():
-    # zero rows, a subnormal peak, peaks at and just past both band
-    # edges, 1e300 and 2**600
+    # zero rows, a subnormal peak, peaks at and just past powers of two,
+    # 1e300 and 2**600: every peak is brought into [0.5, 1)
     edge = 2.0**500
     rows = np.array([
         [0.0, 0.0, -0.0, 0.0],
@@ -592,6 +592,7 @@ def test_unit_rows_take_each_rows_binary_exponent():
         want_k = binary_exponent(row)
         assert got_k == want_k
         assert got.tobytes() == np.ldexp(row, -want_k).tobytes()
+        assert not row.any() or 0.5 <= np.abs(got).max() < 1.0
 
 
 @pytest.mark.parametrize("max_modes", [1, 2])

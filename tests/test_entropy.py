@@ -182,10 +182,9 @@ def _bits(x):
 
 
 def _unit_exponent(z):
-    """0 for a largest magnitude in [2**-500, 2**500], else its frexp
-    exponent, written out here so the oracle does not lean on types."""
-    peak = float(np.abs(z).max())
-    return 0 if 2.0**-500 <= peak <= 2.0**500 else math.frexp(peak)[1]
+    """The frexp exponent of the largest magnitude, written out here so the
+    oracle does not lean on types."""
+    return math.frexp(float(np.abs(z).max()))[1]
 
 
 @settings(max_examples=400, deadline=None)
@@ -193,18 +192,13 @@ def _unit_exponent(z):
 def test_equals_dense_oracle_bit_for_bit(z, std_floor):
     # the oracle runs at unit scale: on z * 2**-k, the floor scaled alike
     # (to infinity where it dwarfs z, which still matches every pair), k
-    # bringing the largest magnitude into [0.5, 1) outside [2**-500, 2**500]
+    # bringing the largest magnitude into [0.5, 1); there a tolerance of
+    # 0.15 times the std cannot underflow
     cfg = ApEnConfig()
     k = _unit_exponent(z)
     unit = np.ldexp(z, -k)
     with np.errstate(over="ignore"):
         unit_floor = float(np.ldexp(std_floor, -k))
-    if z.min() != z.max() and cfg.tolerance_factor * max(
-        math.ldexp(float(unit.std()), k), std_floor
-    ) == 0.0:
-        with pytest.raises(InvalidSignalError, match="underflow"):
-            approximate_entropy(z, cfg, std_floor)
-        return
     value = approximate_entropy(z, cfg, std_floor)
     with np.errstate(all="ignore"):
         expected = 0.0 if z.min() == z.max() else apen_dense(
@@ -233,7 +227,9 @@ def test_kernel_seams_equal_dense_oracle(z, factor, std_floor, stride, rows):
     # starts put prefix boundaries and block seams everywhere; on integer
     # ties a floor of 8 or 16 at factor 0.125 sets the tolerance to a gap
     # between levels, which the match intervals must shed
-    # inside [2**-500, 2**500] the tolerance is the dense oracle's own
+    # the dense oracle works at the input's scale, where the squares of a
+    # tiny series underflow (log(0) on [2.2e-308, 0, ...]): keep to peaks
+    # of 2**-500 and up, where its tolerance is the unit-scale one
     assume(np.abs(z).max() == 0.0 or np.abs(z).max() >= 2.0**-500)
     cfg = ApEnConfig(tolerance_factor=factor)
     with mock.patch.object(entropy, "_stride", lambda n: stride), \
@@ -325,6 +321,11 @@ class TestOverflowingStd:
         assert approximate_entropy(z, cfg) == _dense(z, cfg)
 
 
+# ten samples of 1.5 * 2**-500, the fourth one ulp higher
+_NEAR_CONSTANT = np.full(10, 1.5 * 2.0**-500)
+_NEAR_CONSTANT[3] = np.nextafter(_NEAR_CONSTANT[3], 1.0)
+
+
 class TestZeroRangeAndUnderflow:
     @pytest.mark.parametrize("z, std_floor", [
         (np.zeros(20), 5e-324),
@@ -337,13 +338,35 @@ class TestZeroRangeAndUnderflow:
 
     @pytest.mark.parametrize("z, std_floor", [
         (np.array([5e-324, 0.0] * 10), 5e-324),
-    ], ids=["subnormal-steps"])
-    def test_rejected_without_warnings(self, z, std_floor):
-        # a subnormal std gives a tolerance that underflows to 0
+        (_NEAR_CONSTANT, 0.0),
+    ], ids=["subnormal-steps", "near-constant"])
+    def test_subnormal_std_taken_at_unit_scale(self, z, std_floor):
+        # a std too small to square at the input's scale: the matches are
+        # counted on the copy at unit scale, the floor scaled alike, without
+        # a warning
+        k = _unit_exponent(z)
+        unit, unit_floor = np.ldexp(z, -k), math.ldexp(std_floor, -k)
+        cfg = ApEnConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidSignalError, match="underflow"):
-                approximate_entropy(z, ApEnConfig(), std_floor)
+            value = approximate_entropy(z, cfg, std_floor)
+        assert value == approximate_entropy(unit, cfg, unit_floor)
+        assert value == apen_dense(unit, cfg.tolerance_factor * max(float(unit.std()), unit_floor))
+
+    def test_underflowing_factor_is_a_config_error(self):
+        # at unit scale only a tolerance_factor far below any usual one can
+        # make the tolerance underflow to 0; the error names the factor
+        z = np.random.default_rng(0).standard_normal(200)
+        with pytest.warns(UserWarning, match="outside the usual"):
+            cfg = ApEnConfig(tolerance_factor=5e-324)
+        with pytest.raises(InvalidConfigError, match="tolerance_factor=5e-324"):
+            approximate_entropy(z, cfg)
+
+    @pytest.mark.parametrize("std_floor", [math.nan, -1.0, math.inf])
+    def test_bad_floor_rejected(self, std_floor):
+        z = np.random.default_rng(0).standard_normal(200)
+        with pytest.raises(InvalidConfigError, match="std_floor must be finite and >= 0"):
+            approximate_entropy(z, ApEnConfig(), std_floor)
 
     @pytest.mark.parametrize("z", [
         1e-300 * np.random.default_rng(0).standard_normal(50),

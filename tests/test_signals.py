@@ -128,12 +128,11 @@ class TestMetrics:
             rmse(empty, empty)
 
     @pytest.mark.parametrize("k, expected", [
-        (-1073, -1073), (-600, -600), (-500, -500), (-499, 0), (0, 0), (501, 0),
+        (-1073, -1073), (-600, -600), (-500, -500), (-499, -499), (0, 0), (501, 501),
         (502, 502), (1024, 1024),
     ])
     def test_binary_exponent(self, k, expected):
-        # the largest magnitude is 2**(k - 1): exponent k, unless it lies in
-        # [2**-500, 2**500]
+        # the largest magnitude is 2**(k - 1): its frexp exponent is k
         x = np.array([0.0, -math.ldexp(0.5, k), math.ldexp(0.25, k)])
         assert binary_exponent(x) == expected
         assert binary_exponent(np.zeros(3), x) == expected
@@ -148,13 +147,23 @@ class TestMetrics:
     @pytest.mark.parametrize("k", [-1071, -1000, -501, -500, 0, 501, 502, 1000, 1022])
     def test_std_is_taken_at_unit_scale(self, k):
         # samples scaled by 2**k have 2**k times the std, whether their
-        # squares over- or underflow; inside [2**-500, 2**500] the std is
-        # numpy's own
+        # squares over- or underflow; where none does (|k| <= 502 here) the
+        # std is numpy's own
         unit = np.array([0.5, -0.25, 0.375, 0.0, -0.5])
         x = np.ldexp(unit, k)
         assert std(x) == math.ldexp(float(unit.std()), k)
-        if 2.0**-500 <= 2.0 ** (k - 1) <= 2.0**500:
+        if abs(k) <= 502:
             assert std(x) == float(x.std())
+
+    def test_std_of_near_constant_series(self):
+        # ten samples of 1.5 * 2**-500, one an ulp higher: their deviations
+        # square to below 2**-1074, so numpy's std is 0, but taken at unit
+        # scale it is that of any copy scaled by a power of two
+        x = np.full(10, 1.5 * 2.0**-500)
+        x[3] = np.nextafter(x[3], 1.0)
+        assert float(x.std()) == 0.0 < std(x)
+        for k in (161, 400):
+            assert std(np.ldexp(x, k)) == math.ldexp(std(x), k)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -308,7 +317,7 @@ class TestSpectrum:
         with pytest.raises(InvalidSignalError):
             spectrum(np.zeros(7), 1000.0)
 
-    @pytest.mark.parametrize("fs", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("fs", [0.0, -1.0, math.inf, math.nan, 1e-320])
     def test_bad_rate_rejected(self, fs):
         x = np.sin(np.arange(64) / 3.0)
         for fn in (spectrum, dominant_frequency):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ class TestDwtIdwt:
         coeffs = dwt(np.random.default_rng(2).standard_normal(100), DenoiseConfig(levels=3))
         coeffs.details[1] = coeffs.details[1][:-1]
         with pytest.raises(InvalidSignalError, match="level 2 bands"):
+            idwt(coeffs)
+
+    @pytest.mark.parametrize("mode", ["zero", "periodc"])
+    def test_coefficients_own_mode_checked(self, mode):
+        # without a cfg, the mode read from the coefficients is checked as a
+        # DenoiseConfig's: not inverted as if symmetric, nor refused by a
+        # band-length mismatch
+        x = np.random.default_rng(2).standard_normal(64)
+        coeffs = replace(dwt(x, DenoiseConfig(levels=2)), extension_mode=mode)
+        with pytest.raises(InvalidConfigError, match=f"unknown extension_mode '{mode}'"):
             idwt(coeffs)
 
     def test_energy_preserved_periodic(self):
@@ -259,9 +270,6 @@ def test_denoise_equivariant_under_powers_of_two(x, k, estimator):
     # the noise scale is taken at unit scale, so wavelet_denoise(2**k x)
     # is 2**k wavelet_denoise(x) bit for bit, wherever the input, every
     # band and the output stay normal at both scales
-    # inside [2**-500, 2**500] the std is numpy's own, so the series must
-    # not be constant to rounding: such deviations square to below 2**-1074
-    assume(np.ptp(x) >= 2.0**-20 * np.abs(x).max())
     cfg = DenoiseConfig(sigma_estimator=estimator)
     out = wavelet_denoise(x, cfg)
     levels = min(cfg.levels, (x.size // 8).bit_length())
