@@ -97,6 +97,14 @@ def _noise_bank(n: int, cfg: EnsembleConfig) -> list[list[np.ndarray]]:
     return bank
 
 
+def _noise_peak(bank: list, k: int) -> float:
+    """Largest magnitude over the ensemble of the stage-k noise before
+    scaling by beta, as _ensemble_mean_local_mean adds it (0.0 where no
+    realization has a k-th mode)."""
+    return max((float(np.abs(modes[k]).max()) / (float(modes[0].std()) if k == 0 else 1.0)
+                for modes in bank if k < len(modes)), default=0.0)
+
+
 def _ensemble_mean_local_mean(base: np.ndarray, bank: list, k: int, beta: float) -> np.ndarray:
     """Average of M(base + noise_i) over the ensemble: noise_i is
     realization i's k-th mode scaled by beta (the first mode normalized to
@@ -145,6 +153,13 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     an input whose peak exceeds the float64 maximum / (4 * ensemble_size)
     raises InvalidSignalError before the noise bank is built.
 
+    The residue a stage scales its noise by already holds the previous
+    stage's noise, so a large epsilon0 makes the residues grow
+    geometrically and cancel. That raises InvalidConfigError: before a
+    stage whose scaled noise would pass the same headroom, and after the
+    recursion when the IMFs plus the residue miss the input by more than
+    1e-10 of its peak.
+
     The noise bank is reused from the previous call when n, seed,
     ensemble_size and max_modes are the same (epsilon0 may differ), so a
     campaign of same-length records with one seed builds it once per
@@ -154,7 +169,9 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     if x.size < 4:
         raise InvalidSignalError(f"signal too short to decompose ({x.size} samples)")
     # headroom for a stage's sum over the ensemble, taken before it divides
-    if np.abs(x).max() > np.finfo(np.float64).max / (4 * cfg.ensemble_size):
+    headroom = np.finfo(np.float64).max / (4 * cfg.ensemble_size)
+    peak = np.abs(x).max()
+    if peak > headroom:
         raise InvalidSignalError(
             f"iceemd: the peak exceeds float64 max / (4 * {cfg.ensemble_size} members)"
         )
@@ -165,7 +182,19 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
     residue = x.copy()
     while len(imfs) < cfg.max_modes and _decomposable(residue):
         beta = cfg.epsilon0 * std(residue)
+        if beta * _noise_peak(bank, len(imfs)) > headroom:
+            raise InvalidConfigError(
+                f"epsilon0={cfg.epsilon0:g} scales stage {len(imfs) + 1}'s noise past "
+                f"float64 max / (4 * {cfg.ensemble_size} members)"
+            )
         next_residue = _ensemble_mean_local_mean(residue, bank, len(imfs), beta)
         imfs.append(residue - next_residue)
         residue = next_residue
+    with np.errstate(over="ignore", invalid="ignore"):
+        miss = np.abs(sum(imfs, residue) - x).max()
+    if not miss <= 1e-10 * peak:
+        raise InvalidConfigError(
+            f"epsilon0={cfg.epsilon0:g} ruins the decomposition: the IMFs and residue "
+            f"miss the input by {miss / peak:.2g} of its peak (at most 1e-10)"
+        )
     return Decomposition(imfs=imfs, residue=residue, noise_floor=floor)

@@ -99,7 +99,7 @@ class Decomposition:
 
     The elementwise sum of ``imfs`` and ``residue`` reconstructs the
     decomposed signal (telescoping identity of the extraction loop). Every
-    IMF must be as long as the residue.
+    IMF must be as long as the residue, and every value finite.
 
     noise_floor is the std of the residual noise that the producing
     ensemble leaves in each mode; 0.0 where no noise was added (plain EMD).
@@ -117,6 +117,10 @@ class Decomposition:
                 raise InvalidSignalError(
                     f"imf {k} has length {imf.size}, residue has {self.residue.size}"
                 )
+            if not np.all(np.isfinite(imf)):
+                raise InvalidSignalError(f"imf {k} contains NaN or Inf")
+        if not np.all(np.isfinite(self.residue)):
+            raise InvalidSignalError("residue contains NaN or Inf")
         self.noise_floor = float(self.noise_floor)
         if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
             raise InvalidSignalError(

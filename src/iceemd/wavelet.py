@@ -248,8 +248,7 @@ class DenoiseConfig:
     extension_mode: str = "symmetric"
 
     def __post_init__(self):
-        if self.wavelet not in _SCALING_FILTERS:
-            raise InvalidConfigError(f"unknown wavelet {self.wavelet!r}")
+        wavelet_spec(self.wavelet)
         if self.levels < 1:
             raise InvalidConfigError(f"levels must be >= 1, got {self.levels}")
         if self.sigma_estimator not in SIGMA_ESTIMATORS:
@@ -342,15 +341,21 @@ def dwt(signal, cfg: DenoiseConfig = DenoiseConfig()) -> WaveletCoefficients:
 
 
 def idwt(coeffs: WaveletCoefficients, cfg: DenoiseConfig | None = None) -> np.ndarray:
-    """Inverse transform, trimmed to coeffs.original_length samples.
+    """Inverse of the transform the coefficients record, trimmed to
+    coeffs.original_length samples.
 
-    Without a cfg, the wavelet and extension mode are the coefficients'
-    own, checked as DenoiseConfig checks them.
+    The wavelet, the extension mode and the level count (len(details))
+    are the coefficients' own, the first two checked as DenoiseConfig
+    checks them. A cfg selects nothing: one that disagrees with the
+    coefficients on any of the three raises InvalidConfigError, and its
+    sigma_estimator plays no part.
     """
-    if cfg is None:
-        cfg = DenoiseConfig(wavelet=coeffs.wavelet, extension_mode=coeffs.extension_mode)
-    spec, mode = wavelet_spec(cfg.wavelet), cfg.extension_mode
-    levels = len(coeffs.details)
+    own = DenoiseConfig(wavelet=coeffs.wavelet, extension_mode=coeffs.extension_mode)
+    spec, mode, levels = wavelet_spec(own.wavelet), own.extension_mode, len(coeffs.details)
+    for field, value in (("wavelet", spec.name), ("levels", levels), ("extension_mode", mode)):
+        given = value if cfg is None else getattr(cfg, field)
+        if given != value:
+            raise InvalidConfigError(f"cfg.{field} is {given!r}, the coefficients' is {value!r}")
     lengths = _level_lengths(coeffs.original_length, levels, spec.length, mode)
     approx = coeffs.approximation
     for level in range(levels, 0, -1):

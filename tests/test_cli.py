@@ -431,6 +431,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and err.count("\n") == 1
 
+    def test_ruinous_epsilon0(self, tmp_path, capsys):
+        # refused before the first stage's noise overflows: no RuntimeWarning,
+        # and a config error rather than a data error about NaN or Inf
+        sig, out = tmp_path / "sig.csv", tmp_path / "out.csv"
+        run(["synth", "-o", sig])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["denoise", sig, "--ensemble-size", 3, "--epsilon0", "1e308",
+                        "--seed", 0, "-o", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: epsilon0=1e+308") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_too_few_samples_for_synth(self, tmp_path, capsys):
         code = run(["synth", "--fs", 10, "--duration", 1, "-o", tmp_path / "x.csv"])
         assert code == 1

@@ -31,6 +31,7 @@ from iceemd.ensemble import _realization, generate_noise_bank
 from iceemd.signals import add_noise_snr, dominant_frequency, synth_echo_signal
 from iceemd.types import binary_exponent
 
+from float_checks import stays_normal
 from sift_oracle import emd_reference
 
 # iceemd/__init__ rebinds the name `emd` to the function
@@ -716,12 +717,6 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
 
 
-def _stays_normal(a, k):
-    """Every nonzero element of a, scaled by 2**k, is a normal float64."""
-    a = np.asarray(a)
-    return bool(np.all(np.abs(np.ldexp(a[a != 0.0], k)) >= np.finfo(np.float64).tiny))
-
-
 @settings(max_examples=200, deadline=None)
 @given(short_series.filter(lambda y: y.size >= 4), st.integers(-1000, 1000))
 def test_emd_is_equivariant_under_powers_of_two(y, k):
@@ -730,7 +725,7 @@ def test_emd_is_equivariant_under_powers_of_two(y, k):
     # sifted at unit scale, and scaling by a power of two is exact there
     dec = emd(Signal(y, FS))
     parts = [y, *dec.imfs, dec.residue]
-    assume(all(_stays_normal(p, 0) and _stays_normal(p, k) for p in parts))
+    assume(all(stays_normal(p, 0) and stays_normal(p, k) for p in parts))
     scaled = emd(Signal(np.ldexp(y, k), FS))
     assert scaled.n_imfs == dec.n_imfs
     for part, scaled_part in zip(parts[1:], [*scaled.imfs, scaled.residue]):

@@ -1,5 +1,7 @@
+import re
 import sys
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -193,6 +195,35 @@ class TestIceemd:
             with pytest.raises(InvalidSignalError, match=r"float64 max / \(4 \* 4 members\)"):
                 iceemd(Signal(y, FS), cfg)
         bank.assert_not_called()
+
+
+class TestRuinousEpsilon0:
+    """Each stage scales its noise by epsilon0 * std(residue), and the
+    residue already holds the previous stage's noise, so for a large
+    epsilon0 the residues grow geometrically and cancel. Such a run is a
+    config error, raised before a stage's noise would pass the headroom
+    or, after the recursion, when the parts miss the input."""
+
+    @pytest.mark.parametrize("ensemble_size", [10, 50])
+    @pytest.mark.parametrize("epsilon0", [1e4, 1e60, 1e306])
+    def test_refused_without_warnings(self, epsilon0, ensemble_size):
+        # the 5 dB benchmark: at 1e4 the parts miss the input by 6.9e-3
+        # (ensemble 10) or 4.0e-4 (ensemble 50) of its peak; from 1e60 on
+        # a stage's noise would pass float64 max / (4 * ensemble_size)
+        noisy = add_noise_snr(synth_signal(), 5.0, seed=1)
+        cfg = EnsembleConfig(ensemble_size=ensemble_size, epsilon0=epsilon0, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match=re.escape(f"epsilon0={epsilon0:g} ")):
+                iceemd(noisy, cfg)
+
+    def test_epsilon0_100_is_the_reference_recursion(self):
+        x = two_tone(n=400)
+        cfg = EnsembleConfig(ensemble_size=3, epsilon0=100.0, seed=2)
+        dec = iceemd(Signal(x, FS), cfg)
+        imfs, residue = iceemd_reference(x, cfg)
+        assert [imf.tobytes() for imf in dec.imfs] == [imf.tobytes() for imf in imfs]
+        assert dec.residue.tobytes() == residue.tobytes()
 
 
 class TestLockstep:

@@ -20,6 +20,7 @@ from iceemd import (
 )
 
 from apen_oracle import apen_bruteforce, apen_dense
+from float_checks import stays_normal
 
 
 class TestApproximateEntropy:
@@ -239,12 +240,6 @@ def test_kernel_seams_equal_dense_oracle(z, factor, std_floor, stride, rows):
     assert _bits(value) == _bits(expected)
 
 
-def _stays_normal(a, k):
-    """Every nonzero element of a, scaled by 2**k, is a normal float64."""
-    a = np.asarray(a, dtype=np.float64)
-    return bool(np.all(np.abs(np.ldexp(a[a != 0.0], k)) >= np.finfo(np.float64).tiny))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     z=st.integers(10, 120).flatmap(lambda n: st.one_of(
@@ -260,8 +255,8 @@ def test_invariant_under_powers_of_two(z, floor, k):
     # for bit, wherever the samples and the tolerance stay normal
     cfg = ApEnConfig()
     tolerance = cfg.tolerance_factor * max(float(z.std()), floor)
-    assume(_stays_normal(z, 0) and _stays_normal(z, k))
-    assume(_stays_normal(tolerance, 0) and _stays_normal(tolerance, k))
+    assume(stays_normal(z, 0) and stays_normal(z, k))
+    assume(stays_normal(tolerance, 0) and stays_normal(tolerance, k))
     value = approximate_entropy(z, cfg, floor)
     assert _bits(approximate_entropy(np.ldexp(z, k), cfg, math.ldexp(floor, k))) == _bits(value)
 

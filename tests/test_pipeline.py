@@ -55,6 +55,15 @@ class TestReconstruct:
         with pytest.raises(InvalidSignalError):
             Decomposition([np.zeros(8)], np.zeros(9))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_parts_rejected(self, value):
+        # as a Signal's samples are, so write_decomposition_csv never writes
+        # a file that read_decomposition_csv refuses
+        with pytest.raises(InvalidSignalError, match="imf 1 contains NaN or Inf"):
+            Decomposition([np.zeros(4), np.array([1.0, value, 2.0, 0.0])], np.zeros(4))
+        with pytest.raises(InvalidSignalError, match="residue contains NaN or Inf"):
+            Decomposition([np.zeros(4)], np.array([0.0, 0.0, value, 0.0]))
+
     @pytest.mark.parametrize("floor", [-1.0, float("nan"), float("inf")])
     def test_bad_noise_floor(self, floor):
         with pytest.raises(InvalidSignalError):

@@ -18,7 +18,31 @@ from iceemd import (
     wavelet_denoise,
     wavelet_spec,
 )
-from iceemd.wavelet import EXTENSION_MODES, SUPPORTED_WAVELETS
+from iceemd.wavelet import EXTENSION_MODES, SUPPORTED_WAVELETS, _max_levels
+
+from float_checks import stays_normal
+
+
+def _synthesis_reference(coeffs, name, mode):
+    """The inverse written out from the filter bank: per level, upsample
+    both bands, continue a periodic pair by L - 1 samples, convolve with the
+    synthesis filters and keep the finer level's length."""
+    spec = wavelet_spec(name)
+    L = spec.length
+    lengths = [coeffs.original_length]
+    for _ in coeffs.details:
+        n = lengths[-1]
+        lengths.append(-(-n // 2) if mode == "periodic" else -(-(n + L - 1) // 2))
+    approx = coeffs.approximation
+    for level in range(len(coeffs.details), 0, -1):
+        up = np.zeros((2, 2 * approx.size))
+        up[0, ::2], up[1, ::2] = approx, coeffs.details[level - 1]
+        if mode == "periodic":
+            up = np.pad(up, ((0, 0), (0, L - 1)), mode="wrap")
+        keep = lengths[level - 1]
+        approx = (np.convolve(up[0], spec.rec_lo, mode="valid")[:keep]
+                  + np.convolve(up[1], spec.rec_hi, mode="valid")[:keep])
+    return approx
 
 
 class TestFilters:
@@ -37,8 +61,11 @@ class TestFilters:
         assert spec.dec_hi.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_unknown_name(self):
-        with pytest.raises(InvalidConfigError):
-            wavelet_spec("haar9")
+        # one rule and one message, whether the name reaches the filter
+        # bank directly or through a DenoiseConfig
+        for make in (wavelet_spec, lambda name: DenoiseConfig(wavelet=name)):
+            with pytest.raises(InvalidConfigError, match="unknown wavelet 'haar9'; supported: db2,"):
+                make("haar9")
 
 
 class TestDwtIdwt:
@@ -124,6 +151,40 @@ class TestDwtIdwt:
         coeffs = replace(dwt(x, DenoiseConfig(levels=2)), extension_mode=mode)
         with pytest.raises(InvalidConfigError, match=f"unknown extension_mode '{mode}'"):
             idwt(coeffs)
+
+    @pytest.mark.parametrize("name", SUPPORTED_WAVELETS)
+    @pytest.mark.parametrize("mode", EXTENSION_MODES)
+    def test_inverse_is_the_coefficients_own(self, name, mode):
+        # every level count each length supports: the inverse reads the
+        # wavelet, mode and levels from the coefficients, with no cfg or an
+        # agreeing one (whose sigma_estimator plays no part), and gives the
+        # filter bank's synthesis bit for bit
+        for n in (8, 37, 101, 256):
+            x = np.random.default_rng(n).standard_normal(n)
+            for levels in range(1, _max_levels(n) + 1):
+                cfg = DenoiseConfig(wavelet=name, levels=levels, extension_mode=mode)
+                coeffs = dwt(x, cfg)
+                expected = _synthesis_reference(coeffs, name, mode).tobytes()
+                assert idwt(coeffs).tobytes() == expected
+                assert idwt(coeffs, cfg).tobytes() == expected
+                agreeing = replace(cfg, sigma_estimator="mad_finest")
+                assert idwt(coeffs, agreeing).tobytes() == expected
+
+    @pytest.mark.parametrize("field, value, own", [
+        ("wavelet", "sym8", "db4"),
+        ("levels", 3, 2),
+        ("extension_mode", "symmetric", "periodic"),
+    ])
+    def test_contradicting_cfg_refused(self, field, value, own):
+        # a cfg that disagrees with what the coefficients record is a config
+        # error naming the field and both values, not a silent inverse with
+        # other filters nor a band-length mismatch
+        x = np.random.default_rng(0).standard_normal(64)
+        cfg = DenoiseConfig(wavelet="db4", levels=2, extension_mode="periodic")
+        coeffs = dwt(x, cfg)
+        message = f"cfg.{field} is {value!r}, the coefficients' is {own!r}"
+        with pytest.raises(InvalidConfigError, match=message):
+            idwt(coeffs, replace(cfg, **{field: value}))
 
     def test_energy_preserved_periodic(self):
         # orthonormal transform: coefficient energy equals signal energy
@@ -252,12 +313,6 @@ class TestDenoise:
             DenoiseConfig(extension_mode="zero")
 
 
-def _stays_normal(a, k):
-    """Every nonzero element of a, scaled by 2**k, is a normal float64."""
-    a = np.asarray(a, dtype=np.float64)
-    return bool(np.all(np.abs(np.ldexp(a[a != 0.0], k)) >= np.finfo(np.float64).tiny))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     x=st.integers(8, 200).flatmap(
@@ -275,6 +330,6 @@ def test_denoise_equivariant_under_powers_of_two(x, k, estimator):
     levels = min(cfg.levels, (x.size // 8).bit_length())
     bands = dwt(x, DenoiseConfig(levels=levels))
     for part in (x, out, bands.approximation, *bands.details):
-        assume(_stays_normal(part, 0) and _stays_normal(part, k))
+        assume(stays_normal(part, 0) and stays_normal(part, k))
     scaled = wavelet_denoise(np.ldexp(x, k), cfg)
     assert np.ldexp(out, k).view(np.int64).tolist() == scaled.view(np.int64).tolist()
