@@ -12,10 +12,13 @@ number of rows and sift at most _BATCH_SAMPLES samples at a time: this
 module alone splits rows into batches, so a caller hands over all its
 rows in one call. The envelopes of all rows are one piecewise cubic per
 side, a block per row, each block solved by LAPACK's tridiagonal solver
-and bit-identical to scipy's CubicSpline(bc_type="natural") of that
-row's knots. One evaluator, _on_samples, takes the pieces at every
-sample in numpy, in the order of scipy's PPoly evaluator, so the values
-are PPoly's bit for bit without importing scipy.interpolate.
+dgtsv and bit-identical to scipy's CubicSpline(bc_type="natural") of
+that row's knots. The dgtsv is the one in the scipy-openblas library
+numpy's wheels ship and load, so no run imports scipy; where numpy
+reports another LAPACK (conda and distribution builds), it is the one
+scipy.linalg.lapack wraps. One evaluator, _on_samples, takes the pieces
+at every sample in numpy, in the order of scipy's PPoly evaluator, so
+the values are PPoly's bit for bit without importing scipy.interpolate.
 
 Every row is sifted at unit scale (see extract_imf), so a decomposition
 does not depend on the amplitude: a row scaled by a power of two gives
@@ -23,10 +26,11 @@ modes scaled by it, bit for bit, wherever they stay normal.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidConfigError, InvalidSignalError, NotEnoughExtremaError
 from .types import Decomposition, Signal, as_float_array
@@ -48,6 +52,39 @@ BOUNDARY_EXTREMA_COUNT = 2
 # row is longer), so the sift's working memory does not grow with the
 # number of rows
 _BATCH_SAMPLES = 16384
+
+# LAPACK's dgtsv(n, nrhs, dl, d, du, b, ldb, info), every argument an address
+_DGTSV_BY_ADDRESS = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 8)
+
+
+def _lapack_dgtsv():
+    """(dgtsv, the integer type of its n, nrhs, ldb and info).
+
+    Where numpy reports scipy-openblas with 64-bit integers, as its wheels
+    do, the dgtsv is that library's scipy_dgtsv_64_, from the file numpy
+    has loaded: in numpy/.dylibs (macOS) or in the numpy.libs folder
+    beside numpy (Linux, Windows). Elsewhere it is _scipy_dgtsv().
+    """
+    lapack = np.show_config(mode="dicts")["Build Dependencies"].get("lapack", {})
+    config = lapack.get("openblas configuration", "")
+    if lapack.get("name") == "scipy-openblas" and "USE64BITINT" in config:
+        for lib in (*Path(np.__file__).parent.glob(".dylibs/*scipy_openblas64_*"),
+                    *Path(np.__file__).parents[1].glob("numpy.libs/*scipy_openblas64_*")):
+            return _DGTSV_BY_ADDRESS(("scipy_dgtsv_64_", ctypes.CDLL(str(lib)))), np.int64
+    return _scipy_dgtsv()
+
+
+def _scipy_dgtsv():
+    """(dgtsv, np.intc): the LAPACK routine scipy.linalg.lapack.dgtsv
+    wraps, called at the Fortran entry point its f2py wrapper holds, so
+    that it takes the same addresses as numpy's own."""
+    from scipy.linalg.lapack import dgtsv
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return _DGTSV_BY_ADDRESS(address(dgtsv._cpointer, None)), np.intc
+
+
+_DGTSV, _LAPACK_INT = _lapack_dgtsv()
 
 
 @dataclass(frozen=True)
@@ -222,13 +259,20 @@ def CubicSpline(x, y, starts) -> tuple[np.ndarray, np.ndarray]:
     3, x strictly increasing over all blocks. One block is
     scipy.interpolate.CubicSpline(x, y, bc_type="natural") without its
     input checks: the same tridiagonal system for the knot slopes, solved
-    by the same LAPACK dgtsv, and the same Hermite coefficients, every
-    operation in scipy's order, so the envelopes are bit-identical. Each
-    block is solved on its own, as scipy solves it: one shared
-    block-diagonal solve would subtract 0 * (a neighbor's entry) at each
-    join, which turns a -0.0 into +0.0. The checks are not needed here:
-    every iterate has passed find_extrema's finite check and the knot
-    rule gives at least 3 strictly increasing knots per row.
+    by LAPACK's dgtsv, and the same Hermite coefficients, every operation
+    in scipy's order, so the envelopes are bit-identical. The dgtsv is
+    numpy's own where numpy ships scipy-openblas, and scipy's otherwise
+    (see _lapack_dgtsv); the two give the same bytes. Each block is solved
+    on its own, as scipy solves it: one shared block-diagonal solve would
+    subtract 0 * (a neighbor's entry) at each join, which turns a -0.0
+    into +0.0. Each solve is one call with integer addresses into the
+    buffers, which builds no array view, so it costs about what scipy's
+    wrapper does.
+    The checks are not needed here: every iterate has passed
+    find_extrema's finite check and the knot rule gives at least 3
+    strictly increasing knots per row. starts must ascend from 0, as
+    _block_knots gives them: dgtsv is handed addresses computed from
+    them.
 
     Returns (c, x) as scipy's PPoly holds them: c[:, i] the coefficients
     of piece i, highest power first, in powers of the offset from its
@@ -244,24 +288,31 @@ def CubicSpline(x, y, starts) -> tuple[np.ndarray, np.ndarray]:
     last = np.append(first[1:], x.size) - 1
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    d = np.empty(x.size)
-    du = np.empty(x.size - 1)
-    dl = np.empty(x.size - 1)
-    b = np.empty(x.size)
+    # dgtsv's float64 buffers are the rows of one array, so one address
+    # locates them all: the diagonal, the super- and sub-diagonals (each
+    # with an unused last entry) and the right-hand sides, which it turns
+    # into the knot slopes in place
+    work = np.empty((4, x.size))
+    d, du, dl, s = work[0], work[1, :-1], work[2, :-1], work[3]
     d[1:-1] = 2 * (dx[:-1] + dx[1:])
     du[1:] = dx[:-1]
     dl[:-1] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    s[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     # natural ends: scipy's rows for a zero second derivative. Its +0.0
     # term at the last knot is kept, because adding +0.0 turns a -0.0
     # into +0.0; its -0.0 term at the first knot is left out, because
     # adding -0.0 never changes a bit
     d[first], du[first] = 2 * dx[first], dx[first]
-    b[first] = 3 * (y[first + 1] - y[first])
+    s[first] = 3 * (y[first + 1] - y[first])
     d[last], dl[last - 1] = 2 * dx[last - 1], dx[last - 1]
-    b[last] = 0.5 * 0.0 * dx[last - 1] ** 2 + 3 * (y[last] - y[last - 1])
-    s = np.concatenate([dgtsv(dl[i:j], d[i:j + 1], du[i:j], b[i:j + 1], 1, 1, 1, 1)[3]
-                        for i, j in zip(first.tolist(), last.tolist())])
+    s[last] = 0.5 * 0.0 * dx[last - 1] ** 2 + 3 * (y[last] - y[last - 1])
+    # the integers dgtsv reads: nrhs = 1, info, then each block's order
+    # (its n and ldb). Each block is solved on its own, in place: the one
+    # from knot i starts 8 * i bytes into each row
+    ints = np.concatenate(([1, 0], last - first + 1), dtype=_LAPACK_INT)
+    one, at, row, w = ints.ctypes.data, work.ctypes.data, work.strides[0], ints.itemsize
+    for n, i in zip(range(one + 2 * w, one + ints.nbytes, w), (at + 8 * first).tolist()):
+        _DGTSV(n, one, i + 2 * row, i, i + row, i + 3 * row, n, one + w)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
     # a block's last knot moves onto the next block's first, so its last

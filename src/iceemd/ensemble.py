@@ -155,8 +155,9 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
 
     The residue a stage scales its noise by already holds the previous
     stage's noise, so a large epsilon0 makes the residues grow
-    geometrically and cancel. That raises InvalidConfigError: before a
-    stage whose scaled noise would pass the same headroom, and after the
+    geometrically and cancel. That raises InvalidConfigError: before the
+    noise bank is built when the noise floor overflows, before a stage
+    whose scaled noise would pass the same headroom, and after the
     recursion when the IMFs plus the residue miss the input by more than
     1e-10 of its peak.
 
@@ -176,6 +177,8 @@ def iceemd(signal: Signal, cfg: EnsembleConfig = EnsembleConfig()) -> Decomposit
             f"iceemd: the peak exceeds float64 max / (4 * {cfg.ensemble_size} members)"
         )
     floor = cfg.epsilon0 * std(x) / np.sqrt(cfg.ensemble_size)
+    if not floor < np.inf:
+        raise InvalidConfigError(f"epsilon0={cfg.epsilon0:g} overflows the noise floor")
 
     bank = _noise_bank(x.size, cfg)
     imfs: list[np.ndarray] = []

@@ -366,6 +366,8 @@ def idwt(coeffs: WaveletCoefficients, cfg: DenoiseConfig | None = None) -> np.nd
                 f"expected {lengths[level]}"
             )
         approx = _synthesize_level(approx, detail, spec, mode, lengths[level - 1])
+    if approx.size != lengths[0]:  # no levels: the approximation is the signal
+        raise InvalidSignalError(f"approximation has length {approx.size}, expected {lengths[0]}")
     return approx
 
 

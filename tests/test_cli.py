@@ -446,6 +446,18 @@ class TestConfigErrors:
         assert err.startswith("error: config: epsilon0=1e+308") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_noise_floor(self, tmp_path, capsys):
+        # a ramp runs no stage, and epsilon0 * std(ramp) overflows the noise
+        # floor: a config error (exit 1) naming epsilon0, not a data error
+        sig, out = tmp_path / "ramp.csv", tmp_path / "out.csv"
+        write_signal_csv(Signal(np.linspace(0.0, 1e3, 100), 1.0), sig)
+        code = run(["denoise", sig, "--ensemble-size", 2, "--epsilon0", "1e306",
+                    "--seed", 0, "-o", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: config: epsilon0=1e+306 overflows the noise floor\n"
+        assert not out.exists()
+
     def test_too_few_samples_for_synth(self, tmp_path, capsys):
         code = run(["synth", "--fs", 10, "--duration", 1, "-o", tmp_path / "x.csv"])
         assert code == 1

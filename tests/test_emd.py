@@ -168,6 +168,11 @@ def sift_evaluation(x, y, starts, grid):
     return spline[0], emd_module._on_samples(spline, 1, grid.size)
 
 
+# numpy's own dgtsv where numpy reports scipy-openblas (else scipy's
+# again), and the scipy fallback, which the splines can be solved by
+SOLVERS = {"lapack": emd_module._lapack_dgtsv(), "scipy": emd_module._scipy_dgtsv()}
+
+
 class TestNaturalSpline:
     """The package's splines, built and evaluated as the sift does it,
     equal scipy's natural splines as bytes, past both end knots and at
@@ -192,14 +197,19 @@ class TestNaturalSpline:
     @example([(0, np.array([1, 5, 2]), np.array([1.0, -2.0, 3.0, 0.5]), 6),
               (0, np.array([60, 1, 1]), np.array([5e-324, 1e300, -0.0, 2.0]), 0),
               (0, np.array([2, 40, 3, 1]), np.array([0.0, -1e-310, 7.0, -3.0, 1.0]), 4)])
+    @example([(0, np.array([1, 1]), np.array([-0.0, 0.0, -0.0]), 0),
+              (0, np.array([5, 2]), np.array([0.0, -0.0, -0.0]), 0),
+              (0, np.array([1, 1]), np.array([1.0, -0.0, -1.0]), 2)])
     def test_blocks_equal_scipy_natural_splines_bit_for_bit(self, blocks):
         # consecutive blocks of very different sizes in one call, each
         # starting where the last one's grid ends; each must be scipy's
         # natural spline of its own knots, from its first knot to `beyond`
-        # samples past its last. The first example is a -0.0 in a block's
-        # first right-hand side after a block whose eliminated last entry
-        # is negative: one dgtsv solve shared by both blocks would turn it
-        # into +0.0 and change that block's slopes
+        # samples past its last, whichever dgtsv solves it, so numpy's and
+        # scipy's give the same bytes. The first example is a -0.0 in a
+        # block's first right-hand side after a block whose eliminated last
+        # entry is negative: one dgtsv solve shared by both blocks would
+        # turn it into +0.0 and change that block's slopes. The last is
+        # 3-knot blocks of signed zeros
         xs, ys, starts = [], [], []
         at = 0
         for _, gaps, y, beyond in blocks:
@@ -209,12 +219,33 @@ class TestNaturalSpline:
             ys.append(y)
             at = x[-1] + beyond + 1
         grid = np.arange(at)
-        c, values = sift_evaluation(np.concatenate(xs), np.concatenate(ys), starts, grid)
         ends = [x[0] for x in xs[1:]] + [at]
-        for x, y, first, end in zip(xs, ys, starts, ends):
-            ref = ScipyCubicSpline(x, y, bc_type="natural")
-            assert c[:, first:first + x.size - 1].tobytes() == ref.c.tobytes()
-            assert values[x[0]:end].tobytes() == ref(grid[x[0]:end]).tobytes()
+        for solver, int_type in SOLVERS.values():
+            with mock.patch.multiple(emd_module, _DGTSV=solver, _LAPACK_INT=int_type):
+                c, values = sift_evaluation(np.concatenate(xs), np.concatenate(ys), starts, grid)
+            for x, y, first, end in zip(xs, ys, starts, ends):
+                ref = ScipyCubicSpline(x, y, bc_type="natural")
+                assert c[:, first:first + x.size - 1].tobytes() == ref.c.tobytes()
+                assert values[x[0]:end].tobytes() == ref(grid[x[0]:end]).tobytes()
+
+
+def test_fallback_is_scipys_dgtsv():
+    # called directly on one natural-spline system, by address, the
+    # fallback gives scipy.linalg.lapack.dgtsv's bytes and its info
+    from scipy.linalg.lapack import dgtsv
+    solver, int_type = SOLVERS["scipy"]
+    rng = np.random.default_rng(0)
+    dx = rng.integers(1, 60, 99).astype(np.float64)
+    d = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]))
+    b = rng.standard_normal(100)
+    b[::7] = -0.0
+    want = dgtsv(dx.copy(), d.copy(), dx.copy(), b.copy())
+    ints = np.array([100, 1, -1], dtype=int_type)
+    dl, du, s = dx.copy(), dx.copy(), b.copy()
+    at = [a.ctypes.data for a in (ints, dl, d, du, s)]
+    solver(at[0], at[0] + ints.itemsize, *at[1:], at[0], at[0] + 2 * ints.itemsize)
+    assert s.tobytes() == want[3].tobytes()
+    assert ints[2] == want[4] == 0
 
 
 @st.composite
@@ -614,22 +645,40 @@ def test_decomposability_is_tested_once_per_mode(monkeypatch, max_modes):
     assert calls == [2] * max_modes
 
 
-def test_import_and_emd_leave_scipy_interpolate_unloaded():
-    # the envelopes are evaluated in numpy; only scipy.linalg's LAPACK
-    # is loaded, which keeps every process start lighter
+def loaded_modules(prefix, run=""):
+    """The sorted names of the loaded modules under `prefix` once a fresh
+    process has imported iceemd and run the statements `run`."""
     script = (
         "import sys\n"
         "import numpy as np\n"
         "import iceemd\n"
-        "iceemd.emd(iceemd.Signal(np.sin(np.arange(500) / 3.0) + np.arange(500) / 100.0, 1.0))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n"
+        "x = iceemd.Signal(np.sin(np.arange(500) / 3.0) + np.arange(500) / 100.0, 1.0)\n"
+        f"iceemd.emd(x)\n{run}"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_and_emd_leave_scipy_interpolate_unloaded():
+    # the envelopes are evaluated in numpy, whichever LAPACK solves them
+    assert loaded_modules("scipy.interpolate") == "[]"
+
+
+@pytest.mark.skipif(emd_module._LAPACK_INT is not np.int64,
+                    reason="numpy does not report scipy-openblas with 64-bit integers, "
+                           "so the splines are solved by scipy's dgtsv")
+def test_runs_load_no_scipy_module():
+    # numpy's own dgtsv solves the splines: no part of scipy is loaded by
+    # an import, an emd or an ICEEMD-De run, which keeps every process
+    # start about 28 MiB and 0.2 s lighter
+    run = ("cfg = iceemd.PipelineConfig(ensemble=iceemd.EnsembleConfig(ensemble_size=2))\n"
+           "iceemd.iceemd_de(x, cfg)\n")
+    assert loaded_modules("scipy", run) == "[]"
 
 
 class TestEmd:

@@ -217,6 +217,22 @@ class TestRuinousEpsilon0:
             with pytest.raises(InvalidConfigError, match=re.escape(f"epsilon0={epsilon0:g} ")):
                 iceemd(noisy, cfg)
 
+    def test_overflowing_noise_floor_is_a_config_error(self):
+        # a ramp runs no stage, so only the floor epsilon0 * std / sqrt(size)
+        # sees epsilon0; it overflows, which is the config's fault, not the
+        # data's. Refused before the noise bank is built
+        ramp = Signal(np.linspace(0.0, 1e3, 100), 1.0)
+        cfg = EnsembleConfig(ensemble_size=2, epsilon0=1e306)
+        message = r"epsilon0=1e\+306 overflows the noise floor"
+        with warnings.catch_warnings(), \
+                mock.patch.object(ensemble_module, "_noise_bank") as bank:
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match=message):
+                iceemd(ramp, cfg)
+        bank.assert_not_called()
+        # a tenth of that epsilon0 keeps the floor finite, and runs
+        assert np.isfinite(iceemd(ramp, replace(cfg, epsilon0=1e305)).noise_floor)
+
     def test_epsilon0_100_is_the_reference_recursion(self):
         x = two_tone(n=400)
         cfg = EnsembleConfig(ensemble_size=3, epsilon0=100.0, seed=2)

@@ -18,7 +18,7 @@ from iceemd import (
     wavelet_denoise,
     wavelet_spec,
 )
-from iceemd.wavelet import EXTENSION_MODES, SUPPORTED_WAVELETS, _max_levels
+from iceemd.wavelet import EXTENSION_MODES, SUPPORTED_WAVELETS, WaveletCoefficients, _max_levels
 
 from float_checks import stays_normal
 
@@ -141,6 +141,14 @@ class TestDwtIdwt:
         coeffs.details[1] = coeffs.details[1][:-1]
         with pytest.raises(InvalidSignalError, match="level 2 bands"):
             idwt(coeffs)
+
+    def test_no_levels_inverts_to_the_recorded_length(self):
+        # with no detail bands the approximation is the signal itself, so
+        # its length must be original_length, as every band's is checked
+        with pytest.raises(InvalidSignalError, match="approximation has length 3, expected 10"):
+            idwt(WaveletCoefficients(np.ones(3), [], 10, "periodic", "db4"))
+        x = np.arange(10.0)
+        assert idwt(WaveletCoefficients(x, [], 10, "periodic", "db4")).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("mode", ["zero", "periodc"])
     def test_coefficients_own_mode_checked(self, mode):
