@@ -13,6 +13,7 @@ import numpy as np
 
 from .pipeline import PipelineConfig, iceemd_de
 from .signals import SynthConfig, add_noise_snr, rmse, snr, synth_signal
+from .types import check_count
 from .wavelet import wavelet_denoise
 
 # ensemble seeds are offset from noise seeds so the injected measurement
@@ -23,6 +24,7 @@ ENSEMBLE_SEED_OFFSET = 1_000_003
 def run_benchmark(n_seeds: int, input_snr_db: float, base_seed: int) -> dict:
     """Run the comparison over seeds base_seed..base_seed+n_seeds-1, with
     the default SynthConfig and PipelineConfig."""
+    check_count("n_seeds", n_seeds)
     clean = synth_signal(SynthConfig())
     pipeline = PipelineConfig()
     scores: dict[str, list[tuple[float, float]]] = {

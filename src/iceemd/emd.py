@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSignalError, NotEnoughExtremaError
-from .types import Decomposition, Signal, as_float_array
+from .errors import InvalidSignalError, NotEnoughExtremaError
+from .types import Decomposition, Signal, as_float_array, check_count
 
 # Mode cap of emd, and of EnsembleConfig.max_modes
 DEFAULT_MAX_MODES = 12
@@ -98,10 +98,7 @@ class SiftConfig:
     max_sift_iterations: int = 100
 
     def __post_init__(self):
-        if self.max_sift_iterations < 1:
-            raise InvalidConfigError(
-                f"max_sift_iterations must be >= 1, got {self.max_sift_iterations}"
-            )
+        check_count("max_sift_iterations", self.max_sift_iterations)
 
 
 def _batches(rows: int, n: int) -> list[slice]:
@@ -507,8 +504,7 @@ def emd(signal, max_modes: int = DEFAULT_MAX_MODES):
     The IMFs plus the final residue sum back to the input exactly up to
     float accumulation.
     """
-    if max_modes < 1:
-        raise InvalidConfigError(f"max_modes must be >= 1, got {max_modes}")
+    check_count("max_modes", max_modes)
     one = isinstance(signal, Signal)
     x = signal.samples[None] if one else as_float_array(signal, ndim=2)
     decs = []

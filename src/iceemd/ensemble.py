@@ -20,7 +20,6 @@ the new one is built, so two banks are never alive at once. A CLI
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .emd import DEFAULT_MAX_MODES, _decomposable, emd, local_mean_operator
 from .errors import InvalidConfigError, InvalidSignalError
 from .types import Decomposition, Signal, as_float_array, std
+from .types import check_count, check_positive, check_seed
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,10 @@ class EnsembleConfig:
     """Ensemble decomposition parameters.
 
     epsilon0 scales the injected noise relative to the running residue's
-    standard deviation. The sifting rules are fixed, so nothing here
-    configures them: SD stop 0.2, 2 mirrored extrema per end, at most 100
-    iterations per IMF.
+    standard deviation. seed is any integer >= 0, 2**64 and above
+    included: it is the entropy of a numpy SeedSequence. The sifting
+    rules are fixed, so nothing here configures them: SD stop 0.2, 2
+    mirrored extrema per end, at most 100 iterations per IMF.
     """
 
     ensemble_size: int = 50
@@ -46,14 +47,10 @@ class EnsembleConfig:
     max_modes: int = DEFAULT_MAX_MODES
 
     def __post_init__(self):
-        if self.ensemble_size < 1:
-            raise InvalidConfigError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
-        if not (math.isfinite(self.epsilon0) and self.epsilon0 > 0):
-            raise InvalidConfigError(f"epsilon0 must be finite and > 0, got {self.epsilon0}")
-        if self.max_modes < 1:
-            raise InvalidConfigError(f"max_modes must be >= 1, got {self.max_modes}")
-        if not (0 <= self.seed < 2**64):
-            raise InvalidConfigError("seed must fit in 64 unsigned bits")
+        check_count("ensemble_size", self.ensemble_size)
+        check_positive("epsilon0", self.epsilon0)
+        check_seed("seed", self.seed)
+        check_count("max_modes", self.max_modes)
 
 
 def _realization(n: int, seed: int, index: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import Decomposition, as_float_array, unit_scaled
+from .types import Decomposition, as_float_array, check_finite, check_positive, unit_scaled
 
 # Shortest series the statistic is defined for; pipeline.iceemd_de
 # refuses shorter records up front.
@@ -54,10 +54,7 @@ class ApEnConfig:
     tolerance_factor: float = 0.15
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance_factor) and self.tolerance_factor > 0):
-            raise InvalidConfigError(
-                f"tolerance_factor must be finite and > 0, got {self.tolerance_factor}"
-            )
+        check_positive("tolerance_factor", self.tolerance_factor)
         if not 0.1 <= self.tolerance_factor <= 0.2:
             warnings.warn(
                 f"tolerance_factor {self.tolerance_factor} is outside the "
@@ -220,8 +217,7 @@ def apen_per_imf(
     """Approximate entropy of every IMF (residue excluded), flagging the
     indices whose entropy exceeds `threshold`. dec.noise_floor bounds each
     mode's relative tolerance from below (see approximate_entropy)."""
-    if not math.isfinite(threshold):
-        raise InvalidConfigError(f"threshold must be finite, got {threshold}")
+    check_finite("threshold", threshold)
     per_imf = [
         (k, approximate_entropy(imf, cfg, dec.noise_floor))
         for k, imf in enumerate(dec.imfs)

@@ -7,15 +7,14 @@ exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ensemble import EnsembleConfig, iceemd
 from .entropy import MIN_SAMPLES, ApEnConfig, ApEnReport, apen_per_imf
-from .errors import InvalidConfigError, InvalidSignalError
-from .types import Decomposition, Signal
+from .errors import InvalidSignalError
+from .types import Decomposition, Signal, check_finite
 from .wavelet import DenoiseConfig, wavelet_denoise
 
 # Gate value between the entropies of tone-carrying and noise-dominated
@@ -40,8 +39,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         # apen_per_imf checks the same, but only after the decomposition
-        if not math.isfinite(self.apen_threshold):
-            raise InvalidConfigError(f"apen_threshold must be finite, got {self.apen_threshold}")
+        check_finite("apen_threshold", self.apen_threshold)
 
 
 @dataclass

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import Signal, as_float_array, binary_exponent, unit_scaled
+from .types import Signal, as_float_array, binary_exponent, check_positive, check_seed, unit_scaled
 
 
 @dataclass(frozen=True)
@@ -18,10 +18,8 @@ class SynthConfig:
     duration_s: float = 1.0
 
     def __post_init__(self):
-        for name in ("sample_rate_hz", "duration_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidConfigError(f"{name} must be finite and > 0, got {value}")
+        check_positive("sample_rate_hz", self.sample_rate_hz)
+        check_positive("duration_s", self.duration_s)
         n = self.sample_rate_hz * self.duration_s
         if n < 100:
             raise InvalidConfigError("need at least 100 samples (fs * duration)")
@@ -148,6 +146,7 @@ def add_noise_snr(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     float64, or a noisy signal whose samples overflow it, is an
     InvalidSignalError.
     """
+    check_seed("seed", seed)
     x = as_float_array(signal.samples)
     scaled, k = unit_scaled(x)
     signal_energy = float(np.dot(scaled, scaled))

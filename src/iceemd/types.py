@@ -3,16 +3,19 @@
 Also the package's one amplitude rule: a sum of squares is taken at unit
 scale, on a copy whose largest magnitude is in [0.5, 1) (binary_exponent,
 unit_scaled, std), so no result depends on the float64 range or on the
-record's amplitude.
+record's amplitude. And its rules for config values (check_count,
+check_seed, check_positive, check_finite), each of which raises
+InvalidConfigError naming the value.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSignalError
+from .errors import InvalidConfigError, InvalidSignalError
 
 
 def as_float_array(samples, ndim: int = 1) -> np.ndarray:
@@ -63,6 +66,33 @@ def check_sample_rate(sample_rate_hz, n_samples: int) -> None:
             f"sample_rate_hz={sample_rate_hz} is too small for "
             f"{n_samples} samples: their sample times overflow float64"
         )
+
+
+def check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer >= 1."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidConfigError(f"{name} must be >= 1, got {value!r}")
+
+
+def check_seed(name: str, value) -> None:
+    """Refuse a seed that is not an integer >= 0: the seeds, of any size,
+    that numpy's default_rng and SeedSequence take."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise InvalidConfigError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Refuse a value that is not a finite real number > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise InvalidConfigError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_finite(name: str, value) -> None:
+    """Refuse a value that is not a finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise InvalidConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

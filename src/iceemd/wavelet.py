@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidSignalError
-from .types import as_float_array, std
+from .types import as_float_array, check_count, std
 
 # Orthonormal scaling filters (sum = sqrt 2, shifts pairwise orthogonal).
 # Daubechies are the minimum-phase factorizations, symlets the
@@ -249,8 +249,7 @@ class DenoiseConfig:
 
     def __post_init__(self):
         wavelet_spec(self.wavelet)
-        if self.levels < 1:
-            raise InvalidConfigError(f"levels must be >= 1, got {self.levels}")
+        check_count("levels", self.levels)
         if self.sigma_estimator not in SIGMA_ESTIMATORS:
             raise InvalidConfigError(f"unknown sigma_estimator {self.sigma_estimator!r}")
         if self.extension_mode not in EXTENSION_MODES:
@@ -373,8 +372,7 @@ def idwt(coeffs: WaveletCoefficients, cfg: DenoiseConfig | None = None) -> np.nd
 
 def universal_threshold(sigma: float, n: int) -> float:
     """lambda = sigma * sqrt(2 ln n)."""
-    if n < 1:
-        raise InvalidConfigError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     if not sigma >= 0:
         raise InvalidConfigError(f"sigma must be >= 0, got {sigma}")
     return sigma * math.sqrt(2.0 * math.log(n))

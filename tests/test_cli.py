@@ -463,6 +463,23 @@ class TestConfigErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: config:")
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--snr-db", 5, "--seed", -1],
+        ["bench", "--seeds", 1, "--base-seed", -1],
+    ])
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run([*argv, "-o", out]) == 1
+        assert capsys.readouterr().err == "error: config: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_seed_past_64_bits_decomposes(self, tmp_path):
+        sig, out = tmp_path / "sig.csv", tmp_path / "dec.csv"
+        run(["synth", "-o", sig])
+        code = run(["decompose", sig, "--method", "iceemd", "--ensemble-size", 2,
+                    "--max-modes", 2, "--seed", 2**64, "-o", out])
+        assert code == 0 and out.exists()
+
 
 class TestNonFiniteFlags:
     """Flag values the config validators must refuse: exit 1, one line."""
